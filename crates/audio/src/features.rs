@@ -219,26 +219,48 @@ pub fn pitch_strength(signal: &[f32], sample_rate: u32) -> f64 {
     if frames_by_energy.is_empty() {
         return 0.0;
     }
-    frames_by_energy.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite energy"));
+    // `total_cmp`, not `partial_cmp`: a track deserialised without
+    // `AudioTrack::new`'s check can still carry NaN samples.
+    frames_by_energy.sort_by(|a, b| b.0.total_cmp(&a.0));
     let take = (frames_by_energy.len() / 3).max(1);
     let mut peaks: Vec<f64> = Vec::with_capacity(take);
+    // Reused across frames: the mean-removed frame and its running energy.
+    let mut seg: Vec<f64> = Vec::with_capacity(frame_len);
+    let mut energy_prefix: Vec<f64> = Vec::with_capacity(frame_len + 1);
     for &(energy, start) in frames_by_energy.iter().take(take) {
         if energy < 1e-9 {
             peaks.push(0.0);
             continue;
         }
-        let seg: Vec<f64> = signal[start..start + frame_len]
-            .iter()
-            .map(|&s| s as f64)
-            .collect();
+        seg.clear();
+        seg.extend(signal[start..start + frame_len].iter().map(|&s| s as f64));
         let mean = seg.iter().sum::<f64>() / seg.len() as f64;
-        let seg: Vec<f64> = seg.iter().map(|s| s - mean).collect();
+        for s in seg.iter_mut() {
+            *s -= mean;
+        }
+        let n = seg.len();
+        // Each sum below adds the same terms in the same order as a
+        // per-lag `.sum()` would, starting from `.sum()`'s -0.0, so the
+        // result is bit-identical to summing afresh for every lag. The
+        // leading-window energy `ea(lag)` is a prefix of one running sum.
+        energy_prefix.clear();
+        energy_prefix.push(-0.0);
+        let mut acc = -0.0;
+        for x in &seg {
+            acc += x * x;
+            energy_prefix.push(acc);
+        }
         let mut best = 0.0f64;
-        for lag in min_lag..=max_lag.min(seg.len() - 1) {
-            let (a, b) = (&seg[..seg.len() - lag], &seg[lag..]);
-            let corr: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-            let ea: f64 = a.iter().map(|x| x * x).sum();
-            let eb: f64 = b.iter().map(|x| x * x).sum();
+        for lag in min_lag..=max_lag.min(n - 1) {
+            let (a, b) = (&seg[..n - lag], &seg[lag..]);
+            // The trailing-window energy is a suffix, so it is summed
+            // afresh, fused with the correlation into one pass.
+            let (mut corr, mut eb) = (-0.0, -0.0);
+            for (x, y) in a.iter().zip(b) {
+                corr += x * y;
+                eb += y * y;
+            }
+            let ea = energy_prefix[n - lag];
             let denom = (ea * eb).sqrt();
             if denom > 1e-12 {
                 best = best.max(corr / denom);
@@ -246,7 +268,7 @@ pub fn pitch_strength(signal: &[f32], sample_rate: u32) -> f64 {
         }
         peaks.push(best);
     }
-    peaks.sort_by(|a, b| a.partial_cmp(b).expect("finite peak"));
+    peaks.sort_by(f64::total_cmp);
     peaks[peaks.len() / 2].clamp(0.0, 1.0)
 }
 
@@ -327,6 +349,100 @@ mod tests {
             assert_eq!(ex.extract(&clip), clip_features(&clip, SR), "seed {seed}");
         }
         assert!(ex.extract(&[0.0; 100]).is_none());
+    }
+
+    /// `pitch_strength` as first written: both window energies and the
+    /// correlation summed afresh for every lag.
+    fn pitch_strength_per_lag(signal: &[f32], sample_rate: u32) -> f64 {
+        let sr = sample_rate as f64;
+        let min_lag = (sr / 320.0) as usize;
+        let max_lag = (sr / 80.0) as usize;
+        let frame_len = max_lag * 3;
+        if signal.len() < frame_len || min_lag == 0 {
+            return 0.0;
+        }
+        let hop = frame_len / 2;
+        let mut frames_by_energy: Vec<(f64, usize)> = (0..)
+            .map(|i| i * hop)
+            .take_while(|&s| s + frame_len <= signal.len())
+            .map(|s| {
+                let e: f64 = signal[s..s + frame_len]
+                    .iter()
+                    .map(|&x| (x as f64) * (x as f64))
+                    .sum();
+                (e, s)
+            })
+            .collect();
+        frames_by_energy.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite energy"));
+        let take = (frames_by_energy.len() / 3).max(1);
+        let mut peaks = Vec::new();
+        for &(energy, start) in frames_by_energy.iter().take(take) {
+            if energy < 1e-9 {
+                peaks.push(0.0);
+                continue;
+            }
+            let seg: Vec<f64> = signal[start..start + frame_len]
+                .iter()
+                .map(|&s| s as f64)
+                .collect();
+            let mean = seg.iter().sum::<f64>() / seg.len() as f64;
+            let seg: Vec<f64> = seg.iter().map(|s| s - mean).collect();
+            let mut best = 0.0f64;
+            for lag in min_lag..=max_lag.min(seg.len() - 1) {
+                let (a, b) = (&seg[..seg.len() - lag], &seg[lag..]);
+                let corr: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
+                let ea: f64 = a.iter().map(|x| x * x).sum();
+                let eb: f64 = b.iter().map(|x| x * x).sum();
+                let denom = (ea * eb).sqrt();
+                if denom > 1e-12 {
+                    best = best.max(corr / denom);
+                }
+            }
+            peaks.push(best);
+        }
+        peaks.sort_by(|a, b| a.partial_cmp(b).expect("finite peak"));
+        peaks[peaks.len() / 2].clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn pitch_strength_matches_per_lag_sums_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut clips = vec![vec![0.0f32; 16000], vec![0.0f32; 299], vec![1e-6f32; 900]];
+        for seed in 0..4 {
+            clips.push(two_secs_speech(seed, seed as u32 + 1));
+            clips.push(synth_music(16000, 0, SR, &mut rng));
+            clips.push(synth_ambient(16000, 0, SR, &mut rng));
+            // A clip that is half silence, half speech.
+            let mut half = vec![0.0f32; 8000];
+            half.extend_from_slice(&two_secs_speech(seed + 10, 3)[..8000]);
+            clips.push(half);
+        }
+        for (i, clip) in clips.iter().enumerate() {
+            for sr in [SR, 16000] {
+                let got = pitch_strength(clip, sr);
+                let want = pitch_strength_per_lag(clip, sr);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "clip {i} at {sr} Hz: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_samples_do_not_panic_feature_extraction() {
+        let mut clip = two_secs_speech(5, 1);
+        for (i, s) in clip.iter_mut().enumerate() {
+            if i % 997 == 0 {
+                *s = if i % 2 == 0 { f32::NAN } else { f32::INFINITY };
+            }
+        }
+        let _ = pitch_strength(&clip, SR);
+        assert_eq!(
+            clip_features(&clip, SR).map(|f| f.len()),
+            Some(CLIP_FEATURE_DIMS)
+        );
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl AudioMiner {
                         .speech_score(video.audio.clip_samples(c))
                         .map(|score| (c, score))
                 })
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite score"));
+                .max_by(|a, b| a.1.total_cmp(&b.1));
             match best {
                 Some((clip, score)) => {
                     let samples = video.audio.clip_samples(clip);

@@ -3,8 +3,8 @@
 use crate::bitio::{ReadError, Reader};
 use crate::color::ycbcr_to_rgb;
 use crate::encode::{Planes, FRAME_I, FRAME_P, MAGIC};
-use crate::quant::{dequantise, flat_matrix, scaled_matrix, JPEG_LUMA};
-use crate::zigzag::{rle_decode, unscan, RunLevel};
+use crate::quant::{flat_matrix, scaled_matrix, JPEG_LUMA};
+use crate::zigzag::ZIGZAG;
 use medvid_signal::dct::{idct2_8x8, BLOCK};
 use medvid_types::Image;
 
@@ -52,11 +52,40 @@ const MAX_FRAMES: u64 = 1 << 24;
 /// of gigabytes before the first (likely garbage) frame byte is read.
 const MAX_PIXELS: u64 = 1 << 24;
 
+/// Stream bytes per parse window. A window closes at the first frame
+/// boundary at or past this many bytes. Its parsed form costs at most 8
+/// bytes per symbol (each took at least 2 stream bytes) and 5 bytes per
+/// block (at least 3 stream bytes), so it never exceeds 4 × the window's
+/// stream bytes: about 4 MiB plus 4 × one frame's bytes.
+const WINDOW_BYTES: usize = 1 << 20;
+
 /// Decodes a bitstream produced by [`crate::encode_video`].
+///
+/// Decoding alternates two phases over windows of the stream:
+///
+/// 1. **Serial parse** (`Window::parse`) of the window's frames into
+///    motion vectors and `(zig-zag position, level)` symbols. Every check
+///    runs here, in stream order, so a malformed stream fails with the
+///    error its first offending byte implies, and nothing is reconstructed
+///    from a window that does not parse.
+/// 2. **Parallel reconstruction** (`Window::reconstruct`). An I-frame
+///    depends on no earlier frame, so the window splits into segments at
+///    its I-frames (as the frame-type bytes say, whatever the header's
+///    GOP) and segments run concurrently on `medvid-par`. A segment opening
+///    on a P-frame predicts from the previous window's last frame, or from
+///    zero planes at frame 0.
+///
+/// Each frame is a pure function of the parsed stream, so the output is
+/// bit-identical at any thread count. Inside an enclosing parallel region
+/// reconstruction runs sequentially, as every `medvid-par` loop does.
 ///
 /// # Errors
 /// Returns [`DecodeError`] for malformed or truncated streams.
 pub fn decode_video(bits: &[u8]) -> Result<Vec<Image>, DecodeError> {
+    decode_windowed(bits, WINDOW_BYTES)
+}
+
+fn decode_windowed(bits: &[u8], window_bytes: usize) -> Result<Vec<Image>, DecodeError> {
     let mut r = Reader::new(bits);
     for &m in MAGIC.iter() {
         if r.read_byte()? != m {
@@ -72,100 +101,251 @@ pub fn decode_video(bits: &[u8]) -> Result<Vec<Image>, DecodeError> {
     if width * height > MAX_PIXELS {
         return Err(DecodeError::BadHeader);
     }
-    let (width, height) = (width as usize, height as usize);
+    let (width, height, n_frames) = (width as usize, height as usize, n_frames as usize);
     let quality = r.read_byte()?;
     let _gop = r.read_uvarint()?;
     if n_frames > 0 && (width == 0 || height == 0) {
         return Err(DecodeError::BadHeader);
     }
 
-    let intra_matrix = scaled_matrix(&JPEG_LUMA, quality);
-    let pred_matrix = flat_matrix(quality);
     let (pw, ph) = Planes::padded_dims(width.max(1), height.max(1));
-    let (bw, bh) = (pw / BLOCK, ph / BLOCK);
-    let mut prev = Planes::zero(pw, ph);
+    let layout = Layout {
+        width,
+        height,
+        pw,
+        ph,
+        bw: pw / BLOCK,
+        intra_matrix: scaled_matrix(&JPEG_LUMA, quality),
+        pred_matrix: flat_matrix(quality),
+    };
     // Reserve against the bytes actually present, not the header's claim:
     // every frame costs at least one stream byte, so a lying `n_frames`
     // on a short buffer cannot force a huge up-front allocation.
-    let mut frames = Vec::with_capacity((n_frames as usize).min(r.remaining()));
-
-    for _ in 0..n_frames {
-        let ftype = r.read_byte()?;
-        let intra = match ftype {
-            FRAME_I => true,
-            FRAME_P => false,
-            other => return Err(DecodeError::BadFrameType(other)),
-        };
-        let matrix = if intra { &intra_matrix } else { &pred_matrix };
-        let mut recon = Planes::zero(pw, ph);
-        for by in 0..bh {
-            for bx in 0..bw {
-                let (dx, dy) = if intra {
-                    (0i64, 0i64)
-                } else {
-                    let dx = r.read_ivarint()?;
-                    let dy = r.read_ivarint()?;
-                    if dx.unsigned_abs() > 127 || dy.unsigned_abs() > 127 {
-                        return Err(DecodeError::BadHeader);
-                    }
-                    (dx, dy)
-                };
-                for plane in 0..3 {
-                    let n_sym = r.read_uvarint()? as usize;
-                    if n_sym > BLOCK * BLOCK {
-                        return Err(DecodeError::BlockOverflow);
-                    }
-                    let mut symbols = Vec::with_capacity(n_sym);
-                    for _ in 0..n_sym {
-                        let run = r.read_uvarint()?;
-                        let level = r.read_ivarint()?;
-                        if run > (BLOCK * BLOCK) as u64 {
-                            return Err(DecodeError::BlockOverflow);
-                        }
-                        symbols.push(RunLevel {
-                            run: run as u16,
-                            level: level as i32,
-                        });
-                    }
-                    let zz = rle_decode(&symbols).ok_or(DecodeError::BlockOverflow)?;
-                    let levels = unscan(&zz);
-                    let coeffs = dequantise(&levels, matrix);
-                    let residual = idct2_8x8(&coeffs);
-                    let mut rec = [0.0; BLOCK * BLOCK];
-                    if intra {
-                        for (o, &v) in rec.iter_mut().zip(residual.iter()) {
-                            *o = (v + 128.0).clamp(0.0, 255.0);
-                        }
-                    } else {
-                        let pred = prev.block_at(
-                            plane,
-                            (bx * BLOCK) as isize + dx as isize,
-                            (by * BLOCK) as isize + dy as isize,
-                        );
-                        for ((o, &v), &p) in rec.iter_mut().zip(residual.iter()).zip(pred.iter()) {
-                            *o = (v + p).clamp(0.0, 255.0);
-                        }
-                    }
-                    recon.set_block(plane, bx, by, &rec);
-                }
-            }
-        }
-        frames.push(planes_to_image(&recon, width, height));
-        prev = recon;
+    let mut frames = Vec::with_capacity(n_frames.min(r.remaining()));
+    let mut window = Window::default();
+    let mut carry = None;
+    while frames.len() < n_frames {
+        window.parse(&mut r, &layout, n_frames - frames.len(), window_bytes)?;
+        carry = Some(window.reconstruct(&layout, carry.as_ref(), &mut frames));
     }
     Ok(frames)
 }
 
-fn planes_to_image(p: &Planes, width: usize, height: usize) -> Image {
-    debug_assert!(width <= p.w && height <= p.h, "crop within padded planes");
-    let mut img = Image::black(width, height);
-    for y in 0..height {
-        for x in 0..width {
-            let i = y * p.w + x;
-            img.set(x, y, ycbcr_to_rgb(p.data[0][i], p.data[1][i], p.data[2][i]));
+/// Frame geometry and dequantisation tables shared by both phases.
+struct Layout {
+    width: usize,
+    height: usize,
+    /// Padded plane dimensions (block multiples).
+    pw: usize,
+    ph: usize,
+    /// Blocks per row.
+    bw: usize,
+    intra_matrix: [f64; BLOCK * BLOCK],
+    pred_matrix: [f64; BLOCK * BLOCK],
+}
+
+impl Layout {
+    fn blocks(&self) -> usize {
+        self.bw * (self.ph / BLOCK)
+    }
+
+    /// Crops and colour-converts reconstructed planes straight into the
+    /// image's interleaved RGB buffer.
+    fn to_image(&self, p: &Planes) -> Image {
+        let mut img = Image::black(self.width, self.height);
+        for (y, row) in img.raw_mut().chunks_exact_mut(self.width * 3).enumerate() {
+            let i0 = y * p.w;
+            let [py, pb, pr] = &p.data;
+            let (py, pb, pr) = (&py[i0..], &pb[i0..], &pr[i0..]);
+            for (x, px) in row.chunks_exact_mut(3).enumerate() {
+                let rgb = ycbcr_to_rgb(py[x], pb[x], pr[x]);
+                px.copy_from_slice(&[rgb.r, rgb.g, rgb.b]);
+            }
+        }
+        img
+    }
+}
+
+/// The parsed form of a run of frames.
+#[derive(Default)]
+struct Window {
+    /// Whether each frame is intra-coded.
+    intra: Vec<bool>,
+    /// Index into `symbols` of each frame's first symbol.
+    first_symbol: Vec<usize>,
+    /// Motion vector of every block of every frame (zero in I-frames).
+    motion: Vec<[i8; 2]>,
+    /// Symbol count of every block-plane of every frame, in stream order.
+    counts: Vec<u8>,
+    /// `(zig-zag position, level)` of every coded coefficient.
+    symbols: Vec<(u8, i32)>,
+}
+
+impl Window {
+    /// Replaces the window with the next frames of `r`: at least one, at
+    /// most `left`, stopping at the first frame boundary at or past
+    /// `window_bytes` of stream.
+    fn parse(
+        &mut self,
+        r: &mut Reader<'_>,
+        layout: &Layout,
+        left: usize,
+        window_bytes: usize,
+    ) -> Result<(), DecodeError> {
+        self.intra.clear();
+        self.first_symbol.clear();
+        self.motion.clear();
+        self.counts.clear();
+        self.symbols.clear();
+        let start = r.remaining();
+        loop {
+            self.parse_frame(r, layout)?;
+            if self.intra.len() == left || start - r.remaining() >= window_bytes {
+                return Ok(());
+            }
         }
     }
-    img
+
+    fn parse_frame(&mut self, r: &mut Reader<'_>, layout: &Layout) -> Result<(), DecodeError> {
+        let intra = match r.read_byte()? {
+            FRAME_I => true,
+            FRAME_P => false,
+            other => return Err(DecodeError::BadFrameType(other)),
+        };
+        self.intra.push(intra);
+        self.first_symbol.push(self.symbols.len());
+        for _ in 0..layout.blocks() {
+            let mv = if intra {
+                [0, 0]
+            } else {
+                let dx = r.read_ivarint()?;
+                let dy = r.read_ivarint()?;
+                if dx.unsigned_abs() > 127 || dy.unsigned_abs() > 127 {
+                    return Err(DecodeError::BadHeader);
+                }
+                [dx as i8, dy as i8]
+            };
+            self.motion.push(mv);
+            for _plane in 0..3 {
+                self.parse_block(r)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses one block-plane's run-length symbols. A run past the block is
+    /// only reported once every symbol has been read, so a truncated stream
+    /// fails as truncated.
+    fn parse_block(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let n_sym = r.read_uvarint()? as usize;
+        if n_sym > BLOCK * BLOCK {
+            return Err(DecodeError::BlockOverflow);
+        }
+        let mut pos = 0usize;
+        let mut overflow = false;
+        for _ in 0..n_sym {
+            let run = r.read_uvarint()?;
+            let level = r.read_ivarint()?;
+            if run > (BLOCK * BLOCK) as u64 {
+                return Err(DecodeError::BlockOverflow);
+            }
+            // `pos` never decreases, so once past the block it stays past.
+            pos += run as usize;
+            if pos >= BLOCK * BLOCK {
+                overflow = true;
+            } else {
+                self.symbols.push((pos as u8, level as i32));
+                pos += 1;
+            }
+        }
+        if overflow {
+            return Err(DecodeError::BlockOverflow);
+        }
+        self.counts.push(n_sym as u8);
+        Ok(())
+    }
+
+    /// Reconstructs the window's frames onto `out`, segment by segment in
+    /// parallel. `carry` is the previous window's last frame; the return
+    /// value is this window's, for the next.
+    fn reconstruct(&self, layout: &Layout, carry: Option<&Planes>, out: &mut Vec<Image>) -> Planes {
+        let n = self.intra.len();
+        let starts: Vec<usize> = (0..n).filter(|&f| f == 0 || self.intra[f]).collect();
+        let segments = medvid_par::par_map_indexed(starts.len(), |s| {
+            let end = starts.get(s + 1).copied().unwrap_or(n);
+            let prev = match carry {
+                Some(planes) if s == 0 => planes.clone(),
+                _ => Planes::zero(layout.pw, layout.ph),
+            };
+            self.decode_segment(layout, starts[s]..end, prev, end == n)
+        });
+        let mut last = None;
+        for (frames, planes) in segments {
+            out.extend(frames);
+            last = planes.or(last);
+        }
+        last.expect("a parsed window holds at least one frame")
+    }
+
+    /// Reconstructs `frames` from `prev`, reusing two plane buffers. Returns
+    /// the images and, if `keep_last`, the final frame's planes.
+    fn decode_segment(
+        &self,
+        layout: &Layout,
+        frames: std::ops::Range<usize>,
+        mut prev: Planes,
+        keep_last: bool,
+    ) -> (Vec<Image>, Option<Planes>) {
+        let mut cur = Planes::zero(layout.pw, layout.ph);
+        let mut images = Vec::with_capacity(frames.len());
+        for f in frames {
+            self.reconstruct_frame(layout, f, &prev, &mut cur);
+            images.push(layout.to_image(&cur));
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        (images, keep_last.then_some(prev))
+    }
+
+    fn reconstruct_frame(&self, layout: &Layout, f: usize, prev: &Planes, cur: &mut Planes) {
+        let intra = self.intra[f];
+        let matrix = if intra {
+            &layout.intra_matrix
+        } else {
+            &layout.pred_matrix
+        };
+        let blocks = layout.blocks();
+        let mut next = self.first_symbol[f];
+        for b in 0..blocks {
+            let (bx, by) = (b % layout.bw, b / layout.bw);
+            let [dx, dy] = self.motion[f * blocks + b];
+            for plane in 0..3 {
+                let n_sym = self.counts[(f * blocks + b) * 3 + plane] as usize;
+                let mut coeffs = [0.0; BLOCK * BLOCK];
+                for &(pos, level) in &self.symbols[next..next + n_sym] {
+                    let z = ZIGZAG[pos as usize];
+                    coeffs[z] = level as f64 * matrix[z];
+                }
+                next += n_sym;
+                let residual = idct2_8x8(&coeffs);
+                let mut rec = [0.0; BLOCK * BLOCK];
+                if intra {
+                    for (o, &v) in rec.iter_mut().zip(residual.iter()) {
+                        *o = (v + 128.0).clamp(0.0, 255.0);
+                    }
+                } else {
+                    let pred = prev.block_at(
+                        plane,
+                        (bx * BLOCK) as isize + dx as isize,
+                        (by * BLOCK) as isize + dy as isize,
+                    );
+                    for ((o, &v), &p) in rec.iter_mut().zip(residual.iter()).zip(pred.iter()) {
+                        *o = (v + p).clamp(0.0, 255.0);
+                    }
+                }
+                cur.set_block(plane, bx, by, &rec);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +385,63 @@ mod tests {
         bits.push(75);
         crate::bitio::write_uvarint(&mut bits, 12);
         assert_eq!(decode_video(&bits).unwrap_err(), DecodeError::BadHeader);
+    }
+
+    #[test]
+    fn window_size_does_not_change_the_frames() {
+        // Content that moves, with an I-frame every 5 frames, so windows
+        // closing mid-segment must carry the last frame's planes across.
+        let frames: Vec<Image> = (0..23)
+            .map(|t| {
+                let mut img = Image::filled(21, 13, Rgb::new(30, 90, 160));
+                img.fill_rect(t % 15, 2, t % 15 + 5, 9, Rgb::new(230, 40, 20));
+                img
+            })
+            .collect();
+        let config = EncoderConfig {
+            gop: 5,
+            ..EncoderConfig::default()
+        };
+        let bits = encode_video(&frames, &config).unwrap();
+        let whole = decode_windowed(&bits, usize::MAX).unwrap();
+        assert_eq!(whole.len(), frames.len());
+        for window_bytes in [0, 1, 100, 700, bits.len() / 3] {
+            for threads in [1, 2, 3] {
+                let out =
+                    medvid_par::with_threads(threads, || decode_windowed(&bits, window_bytes));
+                assert_eq!(
+                    out.as_ref(),
+                    Ok(&whole),
+                    "{window_bytes}-byte windows, {threads} threads"
+                );
+            }
+        }
+        assert_eq!(decode_video(&bits).unwrap(), whole);
+    }
+
+    #[test]
+    fn truncation_reports_eof_before_block_overflow() {
+        // One 8x8 I-frame whose first block-plane claims two symbols: a
+        // run that already leaves the block, then nothing. The decoder
+        // reads symbols before judging the run, so it reports truncation.
+        let mut bits = b"MVC1".to_vec();
+        for v in [8, 8, 1] {
+            crate::bitio::write_uvarint(&mut bits, v);
+        }
+        bits.push(75);
+        crate::bitio::write_uvarint(&mut bits, 12);
+        bits.push(FRAME_I);
+        crate::bitio::write_uvarint(&mut bits, 2); // symbols
+        crate::bitio::write_uvarint(&mut bits, 64); // run: past the block
+        crate::bitio::write_ivarint(&mut bits, 5);
+        assert_eq!(
+            decode_video(&bits).unwrap_err(),
+            DecodeError::Bitstream(ReadError::UnexpectedEof)
+        );
+        // With the second symbol present, the overflow is reported.
+        crate::bitio::write_uvarint(&mut bits, 0);
+        crate::bitio::write_ivarint(&mut bits, 1);
+        assert_eq!(decode_video(&bits).unwrap_err(), DecodeError::BlockOverflow);
     }
 
     #[test]

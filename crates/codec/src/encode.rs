@@ -81,6 +81,7 @@ impl std::fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 /// Planar f64 representation of one frame, padded to block multiples.
+#[derive(Clone)]
 pub(crate) struct Planes {
     pub(crate) w: usize,
     pub(crate) h: usize,

@@ -1,4 +1,7 @@
 //! Zig-zag scanning of 8x8 blocks and run-length coding of levels.
+//!
+//! The inverse lives in the decoder's parser (`decode::Window`), which
+//! turns the symbols straight into `(zig-zag position, level)` pairs.
 
 use medvid_signal::dct::BLOCK;
 
@@ -19,15 +22,6 @@ pub fn scan(block: &[i32; BLOCK * BLOCK]) -> [i32; BLOCK * BLOCK] {
     let mut out = [0; BLOCK * BLOCK];
     for (i, &z) in ZIGZAG.iter().enumerate() {
         out[i] = block[z];
-    }
-    out
-}
-
-/// Restores row-major order from a zig-zag sequence.
-pub fn unscan(zz: &[i32; BLOCK * BLOCK]) -> [i32; BLOCK * BLOCK] {
-    let mut out = [0; BLOCK * BLOCK];
-    for (i, &z) in ZIGZAG.iter().enumerate() {
-        out[z] = zz[i];
     }
     out
 }
@@ -57,23 +51,6 @@ pub fn rle_encode(zz: &[i32; BLOCK * BLOCK]) -> Vec<RunLevel> {
     out
 }
 
-/// Decodes run-length symbols back into a zig-zag sequence.
-///
-/// Returns `None` if the symbols overflow the block.
-pub fn rle_decode(symbols: &[RunLevel]) -> Option<[i32; BLOCK * BLOCK]> {
-    let mut out = [0i32; BLOCK * BLOCK];
-    let mut pos = 0usize;
-    for s in symbols {
-        pos = pos.checked_add(s.run as usize)?;
-        if pos >= BLOCK * BLOCK {
-            return None;
-        }
-        out[pos] = s.level;
-        pos += 1;
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +66,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_unscan_roundtrip() {
+    fn scan_follows_zigzag_order() {
         let mut block = [0i32; 64];
         for (i, b) in block.iter_mut().enumerate() {
             *b = i as i32 * 3 - 50;
         }
-        assert_eq!(unscan(&scan(&block)), block);
+        let zz = scan(&block);
+        for (i, &z) in ZIGZAG.iter().enumerate() {
+            assert_eq!(zz[i], block[z]);
+        }
     }
 
     #[test]
@@ -106,29 +86,23 @@ mod tests {
     }
 
     #[test]
-    fn rle_roundtrip_sparse_block() {
+    fn rle_codes_the_zero_run_before_each_level() {
         let mut zz = [0i32; 64];
         zz[0] = 100;
         zz[5] = -3;
         zz[63] = 7;
-        let symbols = rle_encode(&zz);
-        assert_eq!(symbols.len(), 3);
-        assert_eq!(rle_decode(&symbols).unwrap(), zz);
+        assert_eq!(
+            rle_encode(&zz),
+            vec![
+                RunLevel { run: 0, level: 100 },
+                RunLevel { run: 4, level: -3 },
+                RunLevel { run: 57, level: 7 },
+            ]
+        );
     }
 
     #[test]
     fn rle_all_zero_block_is_empty() {
-        let zz = [0i32; 64];
-        assert!(rle_encode(&zz).is_empty());
-        assert_eq!(rle_decode(&[]).unwrap(), zz);
-    }
-
-    #[test]
-    fn rle_rejects_overflow() {
-        let symbols = vec![
-            RunLevel { run: 60, level: 1 },
-            RunLevel { run: 10, level: 2 },
-        ];
-        assert!(rle_decode(&symbols).is_none());
+        assert!(rle_encode(&[0i32; 64]).is_empty());
     }
 }

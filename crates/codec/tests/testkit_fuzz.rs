@@ -7,7 +7,9 @@
 //! Failures print a one-line reproduction; replay with
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
+use medvid_codec::bitio::{write_ivarint, write_uvarint};
 use medvid_codec::{decode_video, encode_video, DecodeError, EncoderConfig};
+use medvid_par::with_threads;
 use medvid_testkit::{forall, require, NoShrink, TkRng};
 use medvid_types::{Image, Rgb};
 
@@ -39,6 +41,87 @@ fn valid_stream(rng: &mut TkRng, n_frames: usize) -> Vec<u8> {
         })
         .collect();
     encode_video(&frames, &EncoderConfig::default()).expect("valid frames encode")
+}
+
+/// A hand-built valid stream whose frame types are drawn at random, so
+/// I-frames sit at irregular positions whatever the header's GOP claims,
+/// and frame 0 is a P-frame (predicting from zero planes) about half the
+/// time.
+fn irregular_gop_stream(rng: &mut TkRng) -> Vec<u8> {
+    let (width, height) = (rng.usize_in(1, 30), rng.usize_in(1, 30));
+    let n_frames = rng.usize_in(1, 16);
+    let blocks = width.div_ceil(8) * height.div_ceil(8);
+    let mut out = MAGIC.to_vec();
+    write_uvarint(&mut out, width as u64);
+    write_uvarint(&mut out, height as u64);
+    write_uvarint(&mut out, n_frames as u64);
+    out.push(rng.usize_in(1, 100) as u8); // quality
+    write_uvarint(&mut out, rng.u64_in(1, 12)); // GOP: a claim only
+    for frame in 0..n_frames {
+        let intra = rng.bool_p(if frame == 0 { 0.5 } else { 0.25 });
+        out.push(if intra { 0 } else { 1 });
+        for _ in 0..blocks {
+            if !intra {
+                write_ivarint(&mut out, rng.i64_in(-12, 12));
+                write_ivarint(&mut out, rng.i64_in(-12, 12));
+            }
+            for _plane in 0..3 {
+                // At most 5 symbols with runs under 11 stay inside a block.
+                let n_sym = rng.usize_in(0, 5);
+                write_uvarint(&mut out, n_sym as u64);
+                for _ in 0..n_sym {
+                    write_uvarint(&mut out, rng.u64_in(0, 10));
+                    write_ivarint(&mut out, rng.i64_in(-60, 60));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn irregular_gops_decode_identically_at_one_and_two_threads() {
+    forall(
+        "decode_video(irregular I-frame positions) is Ok and thread-count invariant",
+        |rng| NoShrink(irregular_gop_stream(rng)),
+        |stream| {
+            let one = with_threads(1, || decode_video(&stream.0));
+            let two = with_threads(2, || decode_video(&stream.0));
+            require!(one.is_ok(), "valid stream rejected: {:?}", one.err());
+            require!(one == two, "1 and 2 threads disagree");
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn corrupted_irregular_gops_fail_identically_at_one_and_two_threads() {
+    forall(
+        "decode_video(corrupted irregular stream) gives one Result at 1 and 2 threads",
+        |rng| {
+            let mut stream = irregular_gop_stream(rng);
+            for _ in 0..rng.usize_in(1, 4) {
+                let pos = rng.usize_in(0, stream.len() - 1);
+                stream[pos] ^= 1 << rng.usize_in(0, 7);
+            }
+            if rng.bool_p(0.3) {
+                let cut = rng.usize_in(0, stream.len());
+                stream.truncate(cut);
+            }
+            NoShrink(stream)
+        },
+        |stream| {
+            let one = with_threads(1, || decode_video(&stream.0));
+            let two = with_threads(2, || decode_video(&stream.0));
+            require!(
+                one == two,
+                "1 thread gave {:?}, 2 threads {:?}",
+                one.as_ref().err(),
+                two.as_ref().err()
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]

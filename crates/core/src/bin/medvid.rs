@@ -394,6 +394,13 @@ fn store_config(opts: &Options) -> StoreConfig {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    ) {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(e) => {

@@ -7,9 +7,9 @@
 //! coefficients (including C0, which carries loudness and helps the BIC test
 //! separate speakers with different levels).
 
-use crate::dct::dct2;
 use crate::fft::FftPlan;
 use crate::window::{apply_window_into, hamming};
+use std::f64::consts::PI;
 
 /// Number of MFCC coefficients the paper uses.
 pub const MFCC_DIMS: usize = 14;
@@ -117,7 +117,11 @@ pub struct MfccExtractor {
     window: Vec<f64>,
     bank: MelFilterbank,
     plan: FftPlan,
-    n_coeffs: usize,
+    /// The first `n_coeffs` rows of the orthonormal DCT-II over the
+    /// filter energies: `dct[k][i] = cos(pi/N (i + 1/2) k)`, with the
+    /// row's scale kept apart so each coefficient is computed exactly as
+    /// [`crate::dct::dct2`] computes it.
+    dct: Vec<(f64, Vec<f64>)>,
 }
 
 impl MfccExtractor {
@@ -145,6 +149,20 @@ impl MfccExtractor {
         assert!(n_coeffs <= n_filters, "more coefficients than filters");
         let fft_len = crate::fft::next_pow2(frame_len);
         let bank = MelFilterbank::new(n_filters, fft_len / 2 + 1, sample_rate);
+        let nf = n_filters as f64;
+        let dct = (0..n_coeffs)
+            .map(|k| {
+                let scale = if k == 0 {
+                    (1.0 / nf).sqrt()
+                } else {
+                    (2.0 / nf).sqrt()
+                };
+                let row = (0..n_filters)
+                    .map(|i| (PI / nf * (i as f64 + 0.5) * k as f64).cos())
+                    .collect();
+                (scale, row)
+            })
+            .collect();
         Self {
             sample_rate,
             frame_len,
@@ -152,7 +170,7 @@ impl MfccExtractor {
             window: hamming(frame_len),
             bank,
             plan: FftPlan::new(fft_len),
-            n_coeffs,
+            dct,
         }
     }
 
@@ -207,13 +225,23 @@ impl MfccExtractor {
                         self.bank.apply_into(&power, &mut energies);
                         logs.clear();
                         logs.extend(energies.iter().map(|&e| (e + 1e-12).ln()));
-                        let mut c = dct2(&logs);
-                        c.truncate(self.n_coeffs);
-                        c
+                        self.cepstrum(&logs)
                     })
                     .collect()
             },
         )
+    }
+
+    /// The first `n_coeffs` DCT-II coefficients of the log filter energies:
+    /// `dct2(logs)` truncated, bit for bit, from the precomputed table.
+    fn cepstrum(&self, logs: &[f64]) -> Vec<f64> {
+        self.dct
+            .iter()
+            .map(|(scale, row)| {
+                let sum: f64 = logs.iter().zip(row).map(|(&v, &c)| v * c).sum();
+                scale * sum
+            })
+            .collect()
     }
 }
 
@@ -311,6 +339,28 @@ mod tests {
         for threads in [2, 4, 8] {
             let out = medvid_par::with_threads(threads, || ex.extract(&sig));
             assert_eq!(out, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn cepstrum_table_matches_dct2_then_truncate_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for (filters, coeffs) in [(DEFAULT_FILTERS, MFCC_DIMS), (20, 20), (9, 1)] {
+            let ex = MfccExtractor::new(8000, 0.030, 0.010, filters, coeffs);
+            for _ in 0..200 {
+                // Log filter energies: ln(e + 1e-12) spans about -28..10.
+                let logs: Vec<f64> = (0..filters).map(|_| rng.gen_range(-28.0..10.0)).collect();
+                let mut want = crate::dct::dct2(&logs);
+                want.truncate(coeffs);
+                let got = ex.cepstrum(&logs);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{filters} filters, {coeffs} coeffs"
+                );
+            }
         }
     }
 

@@ -57,7 +57,9 @@ pub fn generate_video(id: VideoId, spec: &VideoSpec, seed: u64) -> Video {
                 }
                 None => synth_ambient(n, s0, spec.sample_rate, &mut rng),
             };
-            audio.extend(&samples);
+            audio
+                .extend(&samples)
+                .expect("synthesised samples are finite");
             // Special-frame spans.
             for kind in content_kinds(shot.content) {
                 truth.special_spans.push(SpecialSpan {

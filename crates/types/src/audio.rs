@@ -19,11 +19,13 @@ impl AudioTrack {
     /// Creates a track from raw samples.
     ///
     /// # Errors
-    /// Returns [`TypeError::ZeroSampleRate`] if `sample_rate == 0`.
+    /// Returns [`TypeError::ZeroSampleRate`] if `sample_rate == 0`, or
+    /// [`TypeError::NonFiniteSample`] if any sample is NaN or infinite.
     pub fn new(sample_rate: u32, samples: Vec<f32>) -> Result<Self, TypeError> {
         if sample_rate == 0 {
             return Err(TypeError::ZeroSampleRate);
         }
+        check_finite(&samples)?;
         Ok(Self {
             sample_rate,
             samples,
@@ -69,8 +71,14 @@ impl AudioTrack {
     }
 
     /// Appends samples to the track.
-    pub fn extend(&mut self, samples: &[f32]) {
+    ///
+    /// # Errors
+    /// Returns [`TypeError::NonFiniteSample`] (and leaves the track as it
+    /// was) if any sample is NaN or infinite.
+    pub fn extend(&mut self, samples: &[f32]) -> Result<(), TypeError> {
+        check_finite(samples)?;
         self.samples.extend_from_slice(samples);
+        Ok(())
     }
 
     /// Returns the samples of a clip, clamped to the track bounds.
@@ -84,6 +92,13 @@ impl AudioTrack {
     #[inline]
     pub fn sample_at(&self, secs: f64) -> usize {
         (secs * self.sample_rate as f64).round().max(0.0) as usize
+    }
+}
+
+fn check_finite(samples: &[f32]) -> Result<(), TypeError> {
+    match samples.iter().position(|s| !s.is_finite()) {
+        Some(index) => Err(TypeError::NonFiniteSample { index }),
+        None => Ok(()),
     }
 }
 
@@ -180,8 +195,24 @@ mod tests {
     #[test]
     fn extend_appends() {
         let mut t = AudioTrack::empty(8000);
-        t.extend(&[0.1, 0.2]);
-        t.extend(&[0.3]);
+        t.extend(&[0.1, 0.2]).unwrap();
+        t.extend(&[0.3]).unwrap();
         assert_eq!(t.samples(), &[0.1, 0.2, 0.3]);
+    }
+
+    #[test]
+    fn non_finite_samples_rejected() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(
+                AudioTrack::new(8000, vec![0.0, 0.5, bad, 0.1]),
+                Err(TypeError::NonFiniteSample { index: 2 })
+            );
+            let mut t = AudioTrack::new(8000, vec![0.25]).unwrap();
+            assert_eq!(
+                t.extend(&[bad, 0.0]),
+                Err(TypeError::NonFiniteSample { index: 0 })
+            );
+            assert_eq!(t.samples(), &[0.25], "a rejected extend appends nothing");
+        }
     }
 }

@@ -34,6 +34,11 @@ pub enum TypeError {
     },
     /// A sample rate of zero was supplied for an audio track.
     ZeroSampleRate,
+    /// An audio sample was NaN or infinite.
+    NonFiniteSample {
+        /// Index of the first offending sample in the supplied slice.
+        index: usize,
+    },
 }
 
 impl fmt::Display for TypeError {
@@ -60,6 +65,9 @@ impl fmt::Display for TypeError {
                 write!(f, "{what}: empty or inverted range {start}..{end}")
             }
             TypeError::ZeroSampleRate => write!(f, "audio track sample rate must be non-zero"),
+            TypeError::NonFiniteSample { index } => {
+                write!(f, "audio sample {index} is not finite")
+            }
         }
     }
 }

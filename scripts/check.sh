@@ -33,6 +33,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# The parallel decoder and the audio kernels promise output that does not
+# depend on the thread count. The run above uses the host's count; this one
+# gates the sequential fallback every parallel loop takes at one thread.
+echo "== MEDVID_THREADS=1 cargo test -q -p medvid-codec -p medvid-audio =="
+MEDVID_THREADS=1 cargo test -q -p medvid-codec -p medvid-audio
+
 # The serving stack binds loopback sockets and spawns real worker pools, so
 # its integration suite gets an explicit, visible run of its own.
 echo "== cargo test -q --test serve_integration =="

@@ -34,6 +34,36 @@ fn pipeline_is_deterministic_end_to_end() {
 }
 
 #[test]
+fn mining_audio_with_non_finite_samples_does_not_panic() {
+    // `AudioTrack::new` rejects NaN and infinite samples, but a track
+    // deserialised from JSON bypasses it. Infinities of both signs also
+    // breed NaN inside the clip features (inf - inf).
+    let corpus = standard_corpus(CorpusScale::Tiny, 104);
+    let mut video = corpus[0].clone();
+    let samples: Vec<String> = video
+        .audio
+        .samples()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| match i % 997 {
+            0 => "1e999".to_string(),
+            1 => "-1e999".to_string(),
+            _ => format!("{s:?}"),
+        })
+        .collect();
+    let json = format!(
+        r#"{{"sample_rate":{},"samples":[{}]}}"#,
+        video.audio.sample_rate(),
+        samples.join(",")
+    );
+    video.audio = serde_json::from_str(&json).expect("track deserialises");
+    assert!(video.audio.samples().iter().any(|s| s.is_infinite()));
+    let mined = miner(104).mine(&video);
+    assert_eq!(mined.structure.validate(), Ok(()));
+    assert_eq!(mined.events.len(), mined.structure.scenes.len());
+}
+
+#[test]
 fn mining_survives_codec_round_trip() {
     // The paper's pipeline ingests compressed video; mining the decoded
     // frames must find (nearly) the same shot structure.
