@@ -14,9 +14,7 @@
 //!    clips feed the Bayesian Information Criterion hypothesis test
 //!    (Eqs. 17–19) for speaker change between shots;
 //! 5. [`pipeline`] — the per-shot [`pipeline::ShotAudio`] summary and the
-//!    [`pipeline::AudioMiner`] front-end used by the event rules;
-//! 6. [`segmentation`] — DISTBIC-style within-track speaker-turn detection
-//!    (the paper's reference \[23\]), beyond the shot-level test.
+//!    [`pipeline::AudioMiner`] front-end used by the event rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +24,6 @@ pub mod classifier;
 pub mod clips;
 pub mod features;
 pub mod pipeline;
-pub mod segmentation;
 
 pub use classifier::SpeechClassifier;
 pub use pipeline::{AudioMiner, ShotAudio};

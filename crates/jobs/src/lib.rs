@@ -5,10 +5,12 @@
 //! the index" into **jobs** that survive crashes and resume where they
 //! stopped. The design reuses the `medvid-store` WAL machinery:
 //!
-//! * a **checksummed append-only jobs log** ([`log`]) — every state
-//!   transition (submitted / leased / heartbeat / step checkpoint /
-//!   completed / failed) is one CRC-framed record, torn-tail safe exactly
-//!   like the store WAL;
+//! * a **checksummed append-only jobs log** — every state transition
+//!   (submitted / leased / heartbeat / step checkpoint / completed /
+//!   failed) is one CRC-framed [`JobLogRecord`] on the store's framed log
+//!   (`medvid_store::wal`). The scanner and writer are the WAL's own, so
+//!   torn tails, torn headers and foreign files are handled exactly as
+//!   the store handles them; [`log`] holds only the record types;
 //! * **TTL leases** ([`queue`]) — a worker claims a job for a bounded
 //!   window and must heartbeat to keep it; if the worker dies the lease
 //!   expires and the next claim hands the job to someone else, resuming
@@ -30,10 +32,7 @@
 pub mod log;
 pub mod queue;
 
-pub use log::{
-    encode_job_record, scan_job_bytes, scan_job_log, JobKind, JobLogScan, JobLogWriter,
-    JobLogRecord, JobOp, JOB_LOG_FILE, JOB_MAGIC,
-};
+pub use log::{JobKind, JobLogRecord, JobOp, JOB_LOG_FILE, JOB_MAGIC};
 pub use queue::{
     JobError, JobId, JobPhase, JobQueue, JobRecovery, JobStatusView, LeasedJob, QueueConfig,
     QueueStats,

@@ -1,18 +1,15 @@
-//! The checksummed append-only jobs log.
+//! The records of the checksummed append-only jobs log.
 //!
-//! Same frame discipline as the store WAL (`medvid_store::wal`): an
+//! The log itself is the store's framed log (`medvid_store::wal`): an
 //! 8-byte magic header, then `[len u32 BE][crc32 u32 BE][JSON payload]`
-//! frames with strictly increasing 1-based sequence numbers. Damage
-//! classification reuses [`medvid_store::TailFault`] verbatim — a torn
-//! jobs log recovers to the longest valid prefix and truncates the rest,
-//! exactly like the shot WAL, so the crash-consistency suite can assert
-//! the same invariants against both logs.
+//! frames with strictly increasing 1-based sequence numbers, scanned by
+//! [`medvid_store::scan_log`] and appended by [`medvid_store::LogWriter`].
+//! [`JobLogRecord`] is a second record type on it, so a torn jobs log
+//! recovers exactly like the shot WAL: the longest valid prefix survives,
+//! the rest is truncated, and damage is a typed [`medvid_store::TailFault`].
 
-use medvid_store::{crc32, FsyncPolicy, StoredShot, TailFault};
+use medvid_store::{Framed, StoredShot};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every jobs log (distinct from `WAL_MAGIC` so a
 /// mis-pointed open fails fast with `BadMagic`).
@@ -20,12 +17,6 @@ pub const JOB_MAGIC: [u8; 8] = *b"MVJOBS\x00\x01";
 
 /// File name of the jobs log inside a store directory.
 pub const JOB_LOG_FILE: &str = "jobs.log";
-
-/// Frame overhead: 4-byte length prefix + 4-byte CRC-32.
-const FRAME_OVERHEAD: u32 = 8;
-
-/// Upper bound on one payload — same cap as the store WAL.
-const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// What a job does when a worker runs it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -136,258 +127,18 @@ pub struct JobLogRecord {
     pub op: JobOp,
 }
 
-/// Encodes one record as a frame (length prefix + checksum + payload).
-///
-/// # Errors
-/// Serialisation failures surface as `InvalidData` (they indicate a bug);
-/// an oversized payload is `InvalidInput`.
-pub fn encode_job_record(record: &JobLogRecord) -> io::Result<Vec<u8>> {
-    let payload = serde_json::to_vec(record)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    if payload.len() > MAX_RECORD_BYTES as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("job record of {} bytes exceeds the frame limit", payload.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
-}
+impl Framed for JobLogRecord {
+    const MAGIC: [u8; 8] = JOB_MAGIC;
 
-/// The result of scanning a jobs log front to back.
-#[derive(Debug)]
-pub struct JobLogScan {
-    /// Every record in the valid prefix, in file order.
-    pub records: Vec<JobLogRecord>,
-    /// Length of the valid prefix (header plus whole good frames).
-    pub valid_bytes: u64,
-    /// Total file length.
-    pub total_bytes: u64,
-    /// Why the scan stopped early, if it did.
-    pub fault: Option<TailFault>,
-}
-
-impl JobLogScan {
-    /// Bytes of torn/corrupt tail after the valid prefix.
-    #[must_use]
-    pub fn discarded_bytes(&self) -> u64 {
-        self.total_bytes - self.valid_bytes
-    }
-}
-
-/// Scans the jobs log at `path`. Returns `Ok(None)` when the file does
-/// not exist (a fresh queue).
-///
-/// # Errors
-/// Propagates I/O failures reading the file; damaged *contents* are not
-/// errors — they surface as [`JobLogScan::fault`].
-pub fn scan_job_log(path: &Path) -> io::Result<Option<JobLogScan>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    Ok(Some(scan_job_bytes(&bytes)))
-}
-
-/// Scans in-memory jobs-log bytes (split out for the torn-tail tests).
-#[must_use]
-pub fn scan_job_bytes(bytes: &[u8]) -> JobLogScan {
-    let total = bytes.len() as u64;
-    let mut scan = JobLogScan {
-        records: Vec::new(),
-        valid_bytes: 0,
-        total_bytes: total,
-        fault: None,
-    };
-    if bytes.len() < JOB_MAGIC.len() {
-        scan.fault = Some(TailFault::TornHeader);
-        return scan;
-    }
-    if bytes[..JOB_MAGIC.len()] != JOB_MAGIC {
-        scan.fault = Some(TailFault::BadMagic);
-        return scan;
-    }
-    let mut pos = JOB_MAGIC.len();
-    scan.valid_bytes = pos as u64;
-    let mut prev_seq = 0u64;
-    while pos < bytes.len() {
-        let offset = pos as u64;
-        if bytes.len() - pos < FRAME_OVERHEAD as usize {
-            scan.fault = Some(TailFault::TornRecord { offset });
-            return scan;
-        }
-        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let stored = u32::from_be_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            scan.fault = Some(TailFault::Oversized { offset, len });
-            return scan;
-        }
-        let body_start = pos + FRAME_OVERHEAD as usize;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            scan.fault = Some(TailFault::TornRecord { offset });
-            return scan;
-        }
-        let payload = &bytes[body_start..body_end];
-        let computed = crc32(payload);
-        if computed != stored {
-            scan.fault = Some(TailFault::BadChecksum {
-                offset,
-                stored,
-                computed,
-            });
-            return scan;
-        }
-        let record: JobLogRecord = match serde_json::from_slice(payload) {
-            Ok(r) => r,
-            Err(e) => {
-                scan.fault = Some(TailFault::BadPayload {
-                    offset,
-                    detail: e.to_string(),
-                });
-                return scan;
-            }
-        };
-        if record.seq <= prev_seq {
-            scan.fault = Some(TailFault::OutOfOrderSeq {
-                offset,
-                seq: record.seq,
-                prev: prev_seq,
-            });
-            return scan;
-        }
-        prev_seq = record.seq;
-        scan.records.push(record);
-        pos = body_end;
-        scan.valid_bytes = pos as u64;
-    }
-    scan
-}
-
-/// Append handle over one jobs log file.
-#[derive(Debug)]
-pub struct JobLogWriter {
-    file: File,
-    path: PathBuf,
-    policy: FsyncPolicy,
-    bytes: u64,
-    records: u64,
-    unsynced_records: u64,
-}
-
-impl JobLogWriter {
-    /// Creates (or truncates) the log at `path`: writes the magic header
-    /// and fsyncs it.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    pub fn create(path: &Path, policy: FsyncPolicy) -> io::Result<Self> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        file.write_all(&JOB_MAGIC)?;
-        file.sync_all()?;
-        Ok(JobLogWriter {
-            file,
-            path: path.to_path_buf(),
-            policy,
-            bytes: JOB_MAGIC.len() as u64,
-            records: 0,
-            unsynced_records: 0,
-        })
-    }
-
-    /// Opens an existing log whose valid prefix is `valid_bytes` long and
-    /// holds `records` records, truncating any tail beyond the prefix so
-    /// new appends continue from clean bytes.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    pub fn open_at(
-        path: &Path,
-        valid_bytes: u64,
-        records: u64,
-        policy: FsyncPolicy,
-    ) -> io::Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_bytes)?;
-        file.sync_all()?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(JobLogWriter {
-            file,
-            path: path.to_path_buf(),
-            policy,
-            bytes: valid_bytes,
-            records,
-            unsynced_records: 0,
-        })
-    }
-
-    /// Appends one record, flushes it to the OS, and fsyncs per policy.
-    ///
-    /// # Errors
-    /// Propagates I/O failures; on error the caller should treat the
-    /// queue as failed and recover from the log.
-    pub fn append(&mut self, record: &JobLogRecord) -> io::Result<()> {
-        let frame = encode_job_record(record)?;
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        self.bytes += frame.len() as u64;
-        self.records += 1;
-        self.unsynced_records += 1;
-        let fsynced = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.unsynced_records >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if fsynced {
-            self.file.sync_all()?;
-            self.unsynced_records = 0;
-        }
-        Ok(())
-    }
-
-    /// Forces every written byte to stable storage regardless of policy.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.unsynced_records > 0 {
-            self.file.sync_all()?;
-            self.unsynced_records = 0;
-        }
-        Ok(())
-    }
-
-    /// Bytes written so far (header included).
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Records appended over the log's lifetime.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// The log's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn seq(&self) -> u64 {
+        self.seq
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medvid_store::{encode_record, scan_bytes, TailFault};
 
     fn rec(seq: u64) -> JobLogRecord {
         JobLogRecord {
@@ -400,9 +151,9 @@ mod tests {
     fn roundtrips_records_through_bytes() {
         let mut bytes = JOB_MAGIC.to_vec();
         for seq in 1..=3 {
-            bytes.extend_from_slice(&encode_job_record(&rec(seq)).unwrap());
+            bytes.extend_from_slice(&encode_record(&rec(seq)).unwrap());
         }
-        let scan = scan_job_bytes(&bytes);
+        let scan = scan_bytes::<JobLogRecord>(&bytes);
         assert!(scan.fault.is_none());
         assert_eq!(scan.records, vec![rec(1), rec(2), rec(3)]);
         assert_eq!(scan.valid_bytes, scan.total_bytes);
@@ -411,18 +162,18 @@ mod tests {
     #[test]
     fn rejects_wal_magic_as_bad_magic() {
         let bytes = medvid_store::WAL_MAGIC.to_vec();
-        let scan = scan_job_bytes(&bytes);
+        let scan = scan_bytes::<JobLogRecord>(&bytes);
         assert_eq!(scan.fault, Some(TailFault::BadMagic));
     }
 
     #[test]
     fn torn_tail_keeps_valid_prefix() {
         let mut bytes = JOB_MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_job_record(&rec(1)).unwrap());
+        bytes.extend_from_slice(&encode_record(&rec(1)).unwrap());
         let good = bytes.len();
-        bytes.extend_from_slice(&encode_job_record(&rec(2)).unwrap());
+        bytes.extend_from_slice(&encode_record(&rec(2)).unwrap());
         bytes.truncate(good + 5);
-        let scan = scan_job_bytes(&bytes);
+        let scan = scan_bytes::<JobLogRecord>(&bytes);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_bytes as usize, good);
         assert!(matches!(scan.fault, Some(TailFault::TornRecord { .. })));
@@ -431,10 +182,30 @@ mod tests {
     #[test]
     fn out_of_order_seq_stops_the_scan() {
         let mut bytes = JOB_MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_job_record(&rec(2)).unwrap());
-        bytes.extend_from_slice(&encode_job_record(&rec(2)).unwrap());
-        let scan = scan_job_bytes(&bytes);
+        bytes.extend_from_slice(&encode_record(&rec(2)).unwrap());
+        bytes.extend_from_slice(&encode_record(&rec(2)).unwrap());
+        let scan = scan_bytes::<JobLogRecord>(&bytes);
         assert_eq!(scan.records.len(), 1);
         assert!(matches!(scan.fault, Some(TailFault::OutOfOrderSeq { .. })));
+    }
+
+    /// Queues written by earlier builds must keep opening: pins the exact
+    /// bytes of one jobs-log frame.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let record = JobLogRecord {
+            seq: 3,
+            op: JobOp::Submitted {
+                job: 1,
+                kind: JobKind::Compaction,
+                pipeline_version: 2,
+            },
+        };
+        let frame = encode_record(&record).unwrap();
+        assert_eq!(frame[..8], [0x00, 0x00, 0x00, 0x5b, 0xc2, 0x61, 0xe6, 0x4f]);
+        assert_eq!(
+            std::str::from_utf8(&frame[8..]).unwrap(),
+            r#"{"seq":3,"op":{"op":"submitted","job":1,"kind":{"type":"compaction"},"pipeline_version":2}}"#
+        );
     }
 }

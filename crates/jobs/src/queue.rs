@@ -21,11 +21,9 @@
 //!   explicit failure re-queues with seeded-jitter backoff, and
 //!   exhaustion parks the job terminally failed.
 
-use crate::log::{
-    scan_job_log, JobKind, JobLogRecord, JobLogWriter, JobOp, JOB_LOG_FILE,
-};
+use crate::log::{JobKind, JobLogRecord, JobOp, JOB_LOG_FILE};
 use crate::BackoffPolicy;
-use medvid_store::{FsyncPolicy, TailFault};
+use medvid_store::{scan_log, FsyncPolicy, LogWriter, TailFault};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -209,7 +207,7 @@ impl From<io::Error> for JobError {
 #[derive(Debug)]
 pub struct JobQueue {
     config: QueueConfig,
-    log: Option<JobLogWriter>,
+    log: Option<LogWriter<JobLogRecord>>,
     next_seq: u64,
     next_id: JobId,
     entries: BTreeMap<JobId, JobEntry>,
@@ -234,12 +232,15 @@ impl JobQueue {
 
     /// Opens (or creates) the durable queue whose log lives in `dir` as
     /// [`JOB_LOG_FILE`]. Replays the valid prefix, truncates any torn
-    /// tail, releases crashed holders' leases back to the queue exactly
-    /// once, and discards step checkpoints from other pipeline versions.
+    /// tail (a torn header is rebuilt), releases crashed holders' leases
+    /// back to the queue exactly once, and discards step checkpoints from
+    /// other pipeline versions.
     ///
     /// # Errors
-    /// Propagates I/O failures; damaged log *contents* are not errors —
-    /// they surface in the [`JobRecovery`].
+    /// Propagates I/O failures. A file that does not start with the jobs
+    /// magic is refused with `InvalidData` and left untouched, as the
+    /// store refuses a foreign WAL. Other damaged log *contents* are not
+    /// errors — they surface in the [`JobRecovery`].
     pub fn open(dir: &Path, config: QueueConfig) -> io::Result<(Self, JobRecovery)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOB_LOG_FILE);
@@ -251,11 +252,20 @@ impl JobQueue {
             released: 0,
             invalidated: 0,
         };
-        match scan_job_log(&path)? {
+        match scan_log::<JobLogRecord>(&path)? {
             None => {
-                queue.log = Some(JobLogWriter::create(&path, queue.config.fsync)?);
+                queue.log = Some(LogWriter::create(&path, queue.config.fsync)?);
             }
             Some(scan) => {
+                if scan.fault == Some(TailFault::BadMagic) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{} exists but does not start with the jobs magic",
+                            path.display()
+                        ),
+                    ));
+                }
                 report.records = scan.records.len() as u64;
                 report.discarded_bytes = scan.discarded_bytes();
                 report.fault = scan.fault.clone();
@@ -279,7 +289,7 @@ impl JobQueue {
                         report.invalidated += 1;
                     }
                 }
-                queue.log = Some(JobLogWriter::open_at(
+                queue.log = Some(LogWriter::open_at(
                     &path,
                     scan.valid_bytes,
                     scan.records.len() as u64,
@@ -300,7 +310,7 @@ impl JobQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(writer) = &mut self.log {
-            writer.append(&JobLogRecord { seq, op })?;
+            writer.append(&[JobLogRecord { seq, op }])?;
         }
         Ok(())
     }
@@ -568,7 +578,7 @@ impl JobQueue {
     /// Propagates I/O failures.
     pub fn sync(&mut self) -> io::Result<()> {
         match &mut self.log {
-            Some(writer) => writer.sync(),
+            Some(writer) => writer.sync().map(drop),
             None => Ok(()),
         }
     }

@@ -9,10 +9,8 @@
 //! Failures print a one-line reproduction; replay with
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
-use medvid_jobs::{
-    scan_job_bytes, JobKind, JobQueue, QueueConfig, JOB_LOG_FILE, JOB_MAGIC,
-};
-use medvid_store::TailFault;
+use medvid_jobs::{JobKind, JobLogRecord, JobQueue, QueueConfig, JOB_LOG_FILE, JOB_MAGIC};
+use medvid_store::{scan_bytes, TailFault};
 use medvid_testkit::{forall, require, NoShrink};
 use std::path::{Path, PathBuf};
 
@@ -55,7 +53,7 @@ fn torn_at_every_byte_offset_recovers_a_valid_prefix() {
 
     for cut in 0..=full.len() {
         let torn = &full[..cut];
-        let expected = scan_job_bytes(torn);
+        let expected = scan_bytes::<JobLogRecord>(torn);
         assert_eq!(
             expected.valid_bytes + expected.discarded_bytes(),
             cut as u64,
@@ -81,10 +79,17 @@ fn torn_at_every_byte_offset_recovers_a_valid_prefix() {
         std::fs::write(case_dir.join(JOB_LOG_FILE), torn).unwrap();
         let opened = JobQueue::open(&case_dir, QueueConfig::default());
         if cut < JOB_MAGIC.len() {
-            // Truncated/absent header: recovery starts from nothing.
-            let (q, report) = opened.unwrap();
+            // Truncated/absent header: recovery starts from nothing, and
+            // the rebuilt header keeps a job acknowledged afterwards.
+            let (mut q, report) = opened.unwrap();
             assert_eq!(report.records, 0);
             assert!(q.list().is_empty());
+            let id = q.submit(JobKind::Compaction, 0).unwrap();
+            q.sync().unwrap();
+            drop(q);
+            let (q2, r2) = JobQueue::open(&case_dir, QueueConfig::default()).unwrap();
+            assert_eq!(r2.fault, None, "cut {cut}: reopen after a torn header");
+            assert!(q2.status(id).is_some(), "cut {cut}: acked job lost");
             let _ = std::fs::remove_dir_all(&case_dir);
             continue;
         }
@@ -146,13 +151,13 @@ fn torn_at_every_byte_offset_recovers_a_valid_prefix() {
 
 /// Seeded corruption (bit flips, garbage splices, truncation) anywhere in
 /// the log must never panic recovery, and replay must stop at the first
-/// damaged frame.
+/// damaged frame. A damaged magic is refused and the file left untouched.
 #[test]
 fn corrupted_log_never_panics_recovery() {
     let dir = scratch("corrupt-base");
     let full = seeded_log(&dir);
     let _ = std::fs::remove_dir_all(&dir);
-    let base = scan_job_bytes(&full).records.len();
+    let base = scan_bytes::<JobLogRecord>(&full).records.len();
 
     forall(
         "bit-flips and garbage in the jobs log recover to a valid prefix",
@@ -178,8 +183,12 @@ fn corrupted_log_never_panics_recovery() {
             if state % 3 == 0 {
                 mauled.extend((0..(state % 97) as usize).map(|i| (state >> (i % 56)) as u8));
             }
+            if state % 5 == 0 {
+                // One case in five damages the magic itself.
+                mauled[(state >> 24) as usize % JOB_MAGIC.len()] ^= 1 << ((state >> 40) % 8);
+            }
 
-            let scan = scan_job_bytes(&mauled);
+            let scan = scan_bytes::<JobLogRecord>(&mauled);
             require!(
                 scan.records.len() <= base,
                 "corruption invented records: {} > {base}",
@@ -187,7 +196,7 @@ fn corrupted_log_never_panics_recovery() {
             );
             // Whatever survives must be a prefix of the original history
             // (bit flips cannot forge a CRC here, they only truncate).
-            let original = scan_job_bytes(&full);
+            let original = scan_bytes::<JobLogRecord>(&full);
             for (got, want) in scan.records.iter().zip(original.records.iter()) {
                 require!(
                     got == want,
@@ -196,9 +205,19 @@ fn corrupted_log_never_panics_recovery() {
             }
             let case_dir = scratch(&format!("corrupt-{seed:x}"));
             std::fs::create_dir_all(&case_dir).unwrap();
-            std::fs::write(case_dir.join(JOB_LOG_FILE), &mauled).unwrap();
-            let (q, report) = JobQueue::open(&case_dir, QueueConfig::default())
-                .map_err(|e| format!("recovery I/O error: {e}"))?;
+            let path = case_dir.join(JOB_LOG_FILE);
+            std::fs::write(&path, &mauled).unwrap();
+            let opened = JobQueue::open(&case_dir, QueueConfig::default());
+            if mauled[..JOB_MAGIC.len()] != JOB_MAGIC {
+                // Not a jobs log any more: refused and left as evidence,
+                // like the store's `Corrupt` on a foreign WAL.
+                let left = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_dir_all(&case_dir);
+                require!(opened.is_err(), "a log with a bad magic was opened");
+                require!(left == mauled, "a refused log was modified");
+                return Ok(());
+            }
+            let (q, report) = opened.map_err(|e| format!("recovery I/O error: {e}"))?;
             require!(
                 report.records == scan.records.len() as u64,
                 "queue replayed {} records, scan saw {}",

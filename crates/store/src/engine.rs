@@ -17,7 +17,7 @@
 
 use crate::checkpoint::{StoreCheckpoint, CHECKPOINT_FILE};
 use crate::recovery::{replay, RecoveryReport};
-use crate::wal::{scan_wal, FsyncPolicy, TailFault, WalOp, WalRecord, WalWriter, WAL_MAGIC};
+use crate::wal::{scan_wal, FsyncPolicy, LogWriter, TailFault, WalOp, WalRecord, WAL_MAGIC};
 use medvid_index::{PersistError, VideoDatabase};
 use medvid_obs::{counters, Recorder, Stage};
 use serde::{Deserialize, Serialize};
@@ -173,7 +173,7 @@ pub struct Recovered {
 pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
-    wal: WalWriter,
+    wal: LogWriter<WalRecord>,
     last_seq: u64,
     checkpoint_seq: u64,
     recorder: Recorder,
@@ -236,7 +236,7 @@ impl Store {
                     // itself clean.
                     report.fault = Some(TailFault::MissingWal);
                 }
-                WalWriter::create(&wal_path, config.fsync)?
+                LogWriter::create(&wal_path, config.fsync)?
             }
             Some(scan) => {
                 if matches!(scan.fault, Some(TailFault::BadMagic)) {
@@ -262,18 +262,10 @@ impl Store {
                 report.discarded_bytes = scan.total_bytes - out.accepted_bytes;
                 report.fault = out.fault.or(scan.fault);
                 report.last_seq = out.last_seq;
+                // A torn header (accepted bytes shorter than the magic) is
+                // rebuilt by `open_at`: it proves no record was durable.
                 let surviving = out.replayed + out.skipped;
-                if out.accepted_bytes < WAL_MAGIC.len() as u64 {
-                    // A crash during WAL creation tore the magic header
-                    // itself. `create` fsyncs the header before any append
-                    // is acknowledged, so a torn header proves the log held
-                    // no durable records — rebuild it rather than letting
-                    // `open_at` truncate to a headerless file that the next
-                    // scan would reject wholesale.
-                    WalWriter::create(&wal_path, config.fsync)?
-                } else {
-                    WalWriter::open_at(&wal_path, out.accepted_bytes, surviving, config.fsync)?
-                }
+                LogWriter::open_at(&wal_path, out.accepted_bytes, surviving, config.fsync)?
             }
         };
 
@@ -428,7 +420,7 @@ impl Store {
         self.checkpoint_seq = covered_seq;
         let retired = self.wal.bytes() - WAL_MAGIC.len() as u64;
         let wal_path = self.dir.join(WAL_FILE);
-        self.wal = match WalWriter::create(&wal_path, self.config.fsync) {
+        self.wal = match LogWriter::create(&wal_path, self.config.fsync) {
             Ok(w) => w,
             Err(e) => {
                 self.poisoned = Some(e.to_string());
@@ -494,7 +486,7 @@ impl Store {
         // covered, so the log restarts empty with a checkpoint marker.
         let retired = self.wal.bytes() - WAL_MAGIC.len() as u64;
         let wal_path = self.dir.join(WAL_FILE);
-        self.wal = match WalWriter::create(&wal_path, self.config.fsync) {
+        self.wal = match LogWriter::create(&wal_path, self.config.fsync) {
             Ok(w) => w,
             Err(e) => {
                 // `create` truncates before it writes the header, so the
@@ -1123,7 +1115,7 @@ mod tests {
             Recorder::disabled(),
         )
         .unwrap();
-        // An oversized record fails inside WalWriter::append; the engine
+        // An oversized record fails inside LogWriter::append; the engine
         // cannot tell a pre-write failure from a torn write_all, so any
         // append error must poison the store.
         let giant = StoredShot {

@@ -6,7 +6,8 @@
 //!
 //! * a **write-ahead log** ([`wal`]) of checksummed, length-prefixed
 //!   operation records — every ingest is appended (and, by policy, fsynced)
-//!   *before* it is acknowledged;
+//!   *before* it is acknowledged. The log is generic over its record type
+//!   ([`Framed`]), and the `medvid-jobs` queue runs on the same code;
 //! * periodic **checkpoint segments** ([`checkpoint`]) — a full database
 //!   snapshot written atomically (temp file + fsync + rename), after which
 //!   the WAL restarts empty;
@@ -38,5 +39,6 @@ pub use engine::{
 };
 pub use recovery::{RecoveryReport, ReplayOutcome};
 pub use wal::{
-    scan_wal, FsyncPolicy, StoredShot, TailFault, WalOp, WalRecord, WAL_MAGIC,
+    encode_record, scan_bytes, scan_log, scan_wal, FsyncPolicy, Framed, LogWriter, StoredShot,
+    TailFault, WalOp, WalRecord, WAL_MAGIC,
 };

@@ -1,7 +1,12 @@
-//! The write-ahead log: format, writer and scanner.
+//! The framed log: format, writer and scanner.
 //!
-//! A WAL file is an 8-byte magic header followed by checksummed,
-//! length-prefixed records:
+//! One implementation serves every durable log in the system: the store's
+//! write-ahead log ([`WalRecord`]) and the jobs queue's log
+//! (`medvid_jobs::JobLogRecord`). A record type joins by implementing
+//! [`Framed`], which names its file magic and its sequence number.
+//!
+//! A log file is an 8-byte magic header followed by checksummed,
+//! length-prefixed records (shown with the WAL's magic):
 //!
 //! ```text
 //! +----------------+    +---------+---------+------------------+
@@ -11,10 +16,10 @@
 //! ```
 //!
 //! `len` and `crc` are big-endian; `crc` covers the payload only. The
-//! payload is a serialised [`WalRecord`]: a monotonically increasing
-//! sequence number plus one [`WalOp`]. Records are append-only; the only
-//! mutation the engine ever performs is truncating a torn/corrupt tail
-//! discovered during recovery.
+//! payload is one serialised record; in the WAL that is a [`WalRecord`]: a
+//! monotonically increasing sequence number plus one [`WalOp`]. Records
+//! are append-only; the only mutation a log ever sees is truncating a
+//! torn/corrupt tail discovered during recovery.
 //!
 //! The scanner never trusts the file: a record is accepted only if its
 //! frame is complete, its checksum matches, its payload deserialises and
@@ -25,10 +30,12 @@
 use crate::crc::crc32;
 use medvid_index::NodeId;
 use medvid_types::{EventKind, ShotId, VideoId};
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::marker::PhantomData;
+use std::path::Path;
 
 /// Magic bytes opening every WAL file (the trailing byte is the format
 /// version).
@@ -40,6 +47,18 @@ pub const FRAME_OVERHEAD: u64 = 8;
 /// Upper bound on one record's payload; a larger length prefix is treated
 /// as corruption so a torn length field cannot demand a huge allocation.
 pub const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
+
+/// A record type stored in a framed log.
+pub trait Framed: Serialize + DeserializeOwned {
+    /// Magic bytes opening every log of this record type. Distinct magics
+    /// make a log opened as the wrong type fail with
+    /// [`TailFault::BadMagic`].
+    const MAGIC: [u8; 8];
+
+    /// The record's sequence number; the scanner requires it to strictly
+    /// increase.
+    fn seq(&self) -> u64;
+}
 
 /// One shot as stored in the log (the durable twin of the serving layer's
 /// ingest payload).
@@ -96,14 +115,22 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-/// Why a WAL scan (and therefore recovery) stopped before the end of the
+impl Framed for WalRecord {
+    const MAGIC: [u8; 8] = WAL_MAGIC;
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// Why a log scan (and therefore recovery) stopped before the end of the
 /// file. Offsets are absolute file positions of the damaged frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum TailFault {
     /// The file is shorter than the magic header.
     TornHeader,
-    /// The header bytes are not the WAL magic.
+    /// The header bytes are not the magic of the record type scanned.
     BadMagic,
     /// The WAL file is missing beside an existing checkpoint. An
     /// engine-created store always has a log (every checkpoint writes a
@@ -199,8 +226,9 @@ impl std::fmt::Display for TailFault {
 ///
 /// # Errors
 /// Serialisation failures surface as `InvalidData` (they indicate a bug,
-/// not bad input — every [`WalRecord`] value is serialisable).
-pub fn encode_record(record: &WalRecord) -> io::Result<Vec<u8>> {
+/// not bad input — every record value is serialisable); an oversized
+/// payload is `InvalidInput`.
+pub fn encode_record<R: Framed>(record: &R) -> io::Result<Vec<u8>> {
     let payload = serde_json::to_vec(record)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     if payload.len() > MAX_RECORD_BYTES as usize {
@@ -216,11 +244,11 @@ pub fn encode_record(record: &WalRecord) -> io::Result<Vec<u8>> {
     Ok(frame)
 }
 
-/// The result of scanning a WAL file front to back.
+/// The result of scanning a log file front to back.
 #[derive(Debug)]
-pub struct WalScan {
+pub struct LogScan<R> {
     /// Every record in the valid prefix, in file order.
-    pub records: Vec<WalRecord>,
+    pub records: Vec<R>,
     /// Absolute start offset of each record in `records`.
     pub offsets: Vec<u64>,
     /// Length of the valid prefix (header plus whole good frames).
@@ -231,20 +259,20 @@ pub struct WalScan {
     pub fault: Option<TailFault>,
 }
 
-impl WalScan {
+impl<R> LogScan<R> {
     /// Bytes of torn/corrupt tail after the valid prefix.
     pub fn discarded_bytes(&self) -> u64 {
         self.total_bytes - self.valid_bytes
     }
 }
 
-/// Scans the WAL at `path`. Returns `Ok(None)` when the file does not
-/// exist (a fresh store).
+/// Scans the log of `R` records at `path`. Returns `Ok(None)` when the
+/// file does not exist (a fresh store or queue).
 ///
 /// # Errors
 /// Propagates I/O failures reading the file; damaged *contents* are not
-/// errors — they surface as [`WalScan::fault`].
-pub fn scan_wal(path: &Path) -> io::Result<Option<WalScan>> {
+/// errors — they surface as [`LogScan::fault`].
+pub fn scan_log<R: Framed>(path: &Path) -> io::Result<Option<LogScan<R>>> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -253,25 +281,33 @@ pub fn scan_wal(path: &Path) -> io::Result<Option<WalScan>> {
     Ok(Some(scan_bytes(&bytes)))
 }
 
-/// Scans in-memory WAL bytes (the file-reading half split out for tests).
-pub fn scan_bytes(bytes: &[u8]) -> WalScan {
+/// Scans the store WAL at `path`: [`scan_log`] over [`WalRecord`]s.
+///
+/// # Errors
+/// As [`scan_log`].
+pub fn scan_wal(path: &Path) -> io::Result<Option<LogScan<WalRecord>>> {
+    scan_log(path)
+}
+
+/// Scans in-memory log bytes (the file-reading half split out for tests).
+pub fn scan_bytes<R: Framed>(bytes: &[u8]) -> LogScan<R> {
     let total = bytes.len() as u64;
-    let mut scan = WalScan {
+    let mut scan = LogScan {
         records: Vec::new(),
         offsets: Vec::new(),
         valid_bytes: 0,
         total_bytes: total,
         fault: None,
     };
-    if bytes.len() < WAL_MAGIC.len() {
+    if bytes.len() < R::MAGIC.len() {
         scan.fault = Some(TailFault::TornHeader);
         return scan;
     }
-    if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+    if bytes[..R::MAGIC.len()] != R::MAGIC {
         scan.fault = Some(TailFault::BadMagic);
         return scan;
     }
-    let mut pos = WAL_MAGIC.len();
+    let mut pos = R::MAGIC.len();
     scan.valid_bytes = pos as u64;
     let mut prev_seq = 0u64;
     while pos < bytes.len() {
@@ -302,7 +338,7 @@ pub fn scan_bytes(bytes: &[u8]) -> WalScan {
             });
             return scan;
         }
-        let record: WalRecord = match serde_json::from_slice(payload) {
+        let record: R = match serde_json::from_slice(payload) {
             Ok(r) => r,
             Err(e) => {
                 scan.fault = Some(TailFault::BadPayload {
@@ -312,15 +348,15 @@ pub fn scan_bytes(bytes: &[u8]) -> WalScan {
                 return scan;
             }
         };
-        if record.seq <= prev_seq {
+        if record.seq() <= prev_seq {
             scan.fault = Some(TailFault::OutOfOrderSeq {
                 offset,
-                seq: record.seq,
+                seq: record.seq(),
                 prev: prev_seq,
             });
             return scan;
         }
-        prev_seq = record.seq;
+        prev_seq = record.seq();
         scan.records.push(record);
         scan.offsets.push(offset);
         pos = body_end;
@@ -338,7 +374,7 @@ pub struct AppendOutcome {
     pub fsynced: bool,
 }
 
-/// When the WAL writer forces bytes to stable storage.
+/// When a log writer forces bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum FsyncPolicy {
@@ -363,19 +399,19 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-/// Append handle over one WAL file.
+/// Append handle over one log file of `R` records.
 #[derive(Debug)]
-pub struct WalWriter {
+pub struct LogWriter<R> {
     file: File,
-    path: PathBuf,
     policy: FsyncPolicy,
     bytes: u64,
     records: u64,
     unsynced_records: u64,
+    record: PhantomData<fn(&R)>,
 }
 
-impl WalWriter {
-    /// Creates (or truncates) the WAL at `path`: writes the magic header
+impl<R: Framed> LogWriter<R> {
+    /// Creates (or truncates) the log at `path`: writes the magic header
     /// and fsyncs it.
     ///
     /// # Errors
@@ -387,21 +423,29 @@ impl WalWriter {
             .create(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(&WAL_MAGIC)?;
+        file.write_all(&R::MAGIC)?;
         file.sync_all()?;
-        Ok(WalWriter {
+        Ok(LogWriter {
             file,
-            path: path.to_path_buf(),
             policy,
-            bytes: WAL_MAGIC.len() as u64,
+            bytes: R::MAGIC.len() as u64,
             records: 0,
             unsynced_records: 0,
+            record: PhantomData,
         })
     }
 
-    /// Opens an existing WAL whose valid prefix is `valid_bytes` long and
+    /// Opens an existing log whose valid prefix is `valid_bytes` long and
     /// holds `records` records, truncating any tail beyond the prefix so
     /// new appends continue from clean bytes.
+    ///
+    /// A prefix shorter than the magic means a crash tore the header
+    /// itself. [`LogWriter::create`] fsyncs the header before any append
+    /// is acknowledged, so such a log held no durable records: it is
+    /// rebuilt rather than truncated to a headerless file that the next
+    /// scan would reject wholesale. Callers must refuse a
+    /// [`TailFault::BadMagic`] file before calling this, or it is rebuilt
+    /// too.
     ///
     /// # Errors
     /// Propagates I/O failures.
@@ -411,17 +455,20 @@ impl WalWriter {
         records: u64,
         policy: FsyncPolicy,
     ) -> io::Result<Self> {
+        if valid_bytes < R::MAGIC.len() as u64 {
+            return Self::create(path, policy);
+        }
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_bytes)?;
         file.sync_all()?;
         file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter {
+        Ok(LogWriter {
             file,
-            path: path.to_path_buf(),
             policy,
             bytes: valid_bytes,
             records,
             unsynced_records: 0,
+            record: PhantomData,
         })
     }
 
@@ -433,7 +480,7 @@ impl WalWriter {
     /// Propagates I/O failures; on error the in-memory accounting is left
     /// at the last known-good state (callers should treat the store as
     /// failed and recover).
-    pub fn append(&mut self, records: &[WalRecord]) -> io::Result<AppendOutcome> {
+    pub fn append(&mut self, records: &[R]) -> io::Result<AppendOutcome> {
         let mut frames = Vec::new();
         for r in records {
             frames.extend_from_slice(&encode_record(r)?);
@@ -486,16 +533,6 @@ impl WalWriter {
     pub fn unsynced_records(&self) -> u64 {
         self.unsynced_records
     }
-
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The active fsync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
 }
 
 #[cfg(test)]
@@ -521,14 +558,14 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("medvid-wal-{}-{name}", std::process::id()))
     }
 
     #[test]
     fn append_then_scan_roundtrips() {
         let path = tmp("roundtrip.log");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
+        let mut w = LogWriter::create(&path, FsyncPolicy::Always).unwrap();
         let records: Vec<_> = (1..=5).map(record).collect();
         let out = w.append(&records).unwrap();
         assert!(out.fsynced);
@@ -538,6 +575,36 @@ mod tests {
         assert_eq!(scan.valid_bytes, scan.total_bytes);
         assert_eq!(scan.offsets.len(), 5);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Logs written by earlier builds must keep opening: pins the exact
+    /// bytes of one WAL frame, and that the jobs-log magic is refused.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let record = WalRecord {
+            seq: 7,
+            op: WalOp::IngestShot {
+                shot: StoredShot {
+                    video: VideoId(2),
+                    shot: ShotId(3),
+                    features: vec![0.5, -1.25],
+                    event: EventKind::Dialog,
+                    scene_node: NodeId(4),
+                },
+            },
+        };
+        let frame = encode_record(&record).unwrap();
+        assert_eq!(frame[..8], [0x00, 0x00, 0x00, 0x76, 0x98, 0x16, 0x08, 0x1f]);
+        assert_eq!(
+            std::str::from_utf8(&frame[8..]).unwrap(),
+            r#"{"seq":7,"op":{"op":"ingest_shot","shot":{"video":2,"shot":3,"features":[0.5,-1.25],"event":"Dialog","scene_node":4}}}"#
+        );
+        let mut jobs_log = b"MVJOBS\x00\x01".to_vec();
+        jobs_log.extend_from_slice(&frame);
+        assert_eq!(
+            scan_bytes::<WalRecord>(&jobs_log).fault,
+            Some(TailFault::BadMagic)
+        );
     }
 
     #[test]
@@ -550,7 +617,7 @@ mod tests {
     #[test]
     fn every_n_policy_batches_fsyncs() {
         let path = tmp("everyn.log");
-        let mut w = WalWriter::create(&path, FsyncPolicy::EveryN(3)).unwrap();
+        let mut w = LogWriter::create(&path, FsyncPolicy::EveryN(3)).unwrap();
         assert!(!w.append(&[record(1)]).unwrap().fsynced);
         assert!(!w.append(&[record(2)]).unwrap().fsynced);
         assert!(w.append(&[record(3)]).unwrap().fsynced);
@@ -564,11 +631,11 @@ mod tests {
     #[test]
     fn truncated_tail_is_a_torn_record() {
         let path = tmp("torn.log");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
+        let mut w = LogWriter::create(&path, FsyncPolicy::Always).unwrap();
         w.append(&[record(1), record(2)]).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         for cut in (WAL_MAGIC.len() + 1)..bytes.len() {
-            let scan = scan_bytes(&bytes[..cut]);
+            let scan = scan_bytes::<WalRecord>(&bytes[..cut]);
             // The prefix survives whole frames; everything else is a
             // typed fault, never a panic.
             if scan.fault.is_some() {
@@ -583,14 +650,14 @@ mod tests {
     #[test]
     fn bit_flips_fail_the_checksum() {
         let path = tmp("flip.log");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
+        let mut w = LogWriter::create(&path, FsyncPolicy::Always).unwrap();
         w.append(&[record(1)]).unwrap();
         let clean = std::fs::read(&path).unwrap();
         // Flip one bit inside the payload: the checksum must catch it.
         let mut mauled = clean.clone();
         let idx = WAL_MAGIC.len() + FRAME_OVERHEAD as usize + 2;
         mauled[idx] ^= 0x10;
-        let scan = scan_bytes(&mauled);
+        let scan = scan_bytes::<WalRecord>(&mauled);
         assert!(
             matches!(scan.fault, Some(TailFault::BadChecksum { .. })),
             "{:?}",
@@ -603,7 +670,7 @@ mod tests {
     #[test]
     fn sequence_regressions_are_rejected() {
         let path = tmp("seq.log");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
+        let mut w = LogWriter::create(&path, FsyncPolicy::Always).unwrap();
         w.append(&[record(5), record(5)]).unwrap();
         let scan = scan_wal(&path).unwrap().unwrap();
         assert_eq!(scan.records.len(), 1);
@@ -616,9 +683,9 @@ mod tests {
 
     #[test]
     fn bad_magic_and_torn_header_are_typed() {
-        let scan = scan_bytes(b"NOTAWAL!rest");
+        let scan = scan_bytes::<WalRecord>(b"NOTAWAL!rest");
         assert_eq!(scan.fault, Some(TailFault::BadMagic));
-        let scan = scan_bytes(b"MVW");
+        let scan = scan_bytes::<WalRecord>(b"MVW");
         assert_eq!(scan.fault, Some(TailFault::TornHeader));
         assert_eq!(scan.valid_bytes, 0);
     }
@@ -628,14 +695,14 @@ mod tests {
         let mut bytes = WAL_MAGIC.to_vec();
         bytes.extend_from_slice(&(MAX_RECORD_BYTES + 1).to_be_bytes());
         bytes.extend_from_slice(&[0; 8]);
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes::<WalRecord>(&bytes);
         assert!(matches!(scan.fault, Some(TailFault::Oversized { .. })));
     }
 
     #[test]
     fn open_at_truncates_the_damaged_tail() {
         let path = tmp("reopen.log");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
+        let mut w = LogWriter::create(&path, FsyncPolicy::Always).unwrap();
         w.append(&[record(1)]).unwrap();
         let good_len = w.bytes();
         // Simulate a torn in-flight record.
@@ -646,7 +713,7 @@ mod tests {
         let scan = scan_wal(&path).unwrap().unwrap();
         assert_eq!(scan.valid_bytes, good_len);
         assert!(scan.fault.is_some());
-        let mut w = WalWriter::open_at(&path, scan.valid_bytes, 1, FsyncPolicy::Always).unwrap();
+        let mut w = LogWriter::open_at(&path, scan.valid_bytes, 1, FsyncPolicy::Always).unwrap();
         w.append(&[record(2)]).unwrap();
         let rescan = scan_wal(&path).unwrap().unwrap();
         assert_eq!(rescan.records.len(), 2);

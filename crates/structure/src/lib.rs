@@ -13,9 +13,7 @@
 //!    model selection (Sec. 3.5).
 //!
 //! [`similarity`] implements the paper's Eqs. (1), (8) and (9); [`mine`] wires
-//! the stages into a single entry point, [`mine::mine_structure`]; [`stream`]
-//! adds a bounded-memory streaming variant of shot detection for long
-//! ingest jobs.
+//! the stages into a single entry point, [`mine::mine_structure`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +24,6 @@ pub mod mine;
 pub mod scene;
 pub mod shot;
 pub mod similarity;
-pub mod stream;
 
 pub use mine::{mine_structure, mine_structure_observed, MiningConfig};
 pub use similarity::{group_similarity, shot_group_similarity, shot_similarity, SimilarityWeights};

@@ -63,11 +63,12 @@ cargo test -q -p medvid-index --test persist_faults
 # must stay bit-identical to the scalar flat scan.
 cargo test -q -p medvid-knn
 cargo test -q -p medvid-index --test knn_equivalence
+# One framed log (medvid_store::wal) carries both the store WAL and the jobs
+# queue: crash_consistency and medvid-jobs' jobs_crash both gate it against
+# torn and corrupt logs. The jobs suites below add incremental-ingest ≡
+# rebuild equivalence through the service and the seeded worker-kill sweep.
 cargo test -q -p medvid-store --test crash_consistency
-# Job queue: torn/corrupt jobs-log recovery, incremental-ingest ≡ rebuild
-# equivalence through the service, and the seeded worker-kill chaos sweep.
 cargo test -q -p medvid-jobs
-cargo test -q -p medvid-jobs --test jobs_crash
 cargo test -q -p medvid-serve --test incremental_vs_rebuild
 cargo test -q -p medvid-serve --test jobs_chaos
 cargo test -q -p medvid --test serve_faults
