@@ -18,7 +18,8 @@
 //! Writes two artefacts: the standard experiment envelope under
 //! `target/experiments/bench_pipeline.json`, and the benchmark-trajectory
 //! snapshot `BENCH_pipeline.json` at the repository root. `--smoke` shrinks
-//! the corpus and the thread set so the tier-1 gate can run it in seconds.
+//! the corpus so the tier-1 gate can run it in seconds, and writes only the
+//! envelope: a Tiny-corpus run is no point on the trajectory.
 
 use medvid::{ClassMiner, ClassMinerConfig, MinedVideo};
 use medvid_cluster::{shard_of, ClusterTopology, Coordinator, CoordinatorConfig};
@@ -1064,8 +1065,10 @@ fn main() {
     };
     // The benchmark trajectory lives at the repository root so successive
     // PRs can diff it; the manifest dir anchors the path regardless of cwd.
+    // A smoke run must not overwrite it with Tiny-corpus numbers.
     let root_artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     match serde_json::to_string_pretty(&bench) {
+        Ok(_) if smoke => {}
         Ok(json) => {
             if let Err(e) = std::fs::write(root_artifact, json + "\n") {
                 eprintln!("warning: cannot write {root_artifact}: {e}");

@@ -16,8 +16,9 @@
 //!   expires and the next claim hands the job to someone else, resuming
 //!   from the last durable step checkpoint;
 //! * **bounded retries with seeded-jitter backoff** ([`BackoffPolicy`]) —
-//!   the same decorrelation math as `medvid_serve::RetryPolicy`, so a
-//!   failed job's retry schedule is deterministic under a pinned seed;
+//!   [`backoff_delay`] is the one formula, shared with
+//!   `medvid_serve::RetryPolicy`, so a failed job's retry schedule is
+//!   deterministic under a pinned seed;
 //! * a **pipeline version** stamped on every submitted job — recovery
 //!   discards step checkpoints written by an older pipeline so stale
 //!   intermediate results are never resumed into new code.
@@ -38,14 +39,9 @@ pub use queue::{
     QueueStats,
 };
 
-/// Bounded-retry schedule with deterministic decorrelation jitter.
-///
-/// Mirrors `medvid_serve::RetryPolicy::delay_before` exactly (in
-/// milliseconds rather than `Duration`): attempt `n` waits
-/// `base * 2^(n-1)`, capped at `max_delay_ms`, then scaled by a seeded
-/// jitter factor in `[1 - jitter, 1 + jitter]` so retrying workers do not
-/// thundering-herd the same instant. A cross-crate test in `medvid-serve`
-/// pins the two implementations together.
+/// Bounded-retry schedule with deterministic decorrelation jitter: the
+/// [`backoff_delay`] formula in milliseconds, so retrying workers do not
+/// thundering-herd the same instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Total attempts before the job is failed terminally (first try
@@ -79,25 +75,32 @@ impl BackoffPolicy {
     /// wait".
     #[must_use]
     pub fn delay_ms(&self, attempt: u32) -> u64 {
-        if attempt == 0 || self.base_delay_ms == 0 {
-            return 0;
-        }
-        let exp = self.base_delay_ms as f64 * 2f64.powi(attempt as i32 - 1);
-        let capped = exp.min(self.max_delay_ms as f64).max(0.0);
-        if self.jitter <= 0.0 {
-            return capped.round() as u64;
-        }
-        let u = (splitmix64(self.seed ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
-        (capped * (1.0 + self.jitter * (2.0 * u - 1.0)))
-            .max(0.0)
-            .round() as u64
+        let (base, max) = (self.base_delay_ms as f64, self.max_delay_ms as f64);
+        backoff_delay(base, max, self.jitter, self.seed, attempt).round() as u64
     }
 }
 
-/// SplitMix64 — the same generator `medvid_serve::retry` uses, so both
-/// crates draw identical jitter for identical `(seed, attempt)` pairs.
+/// Capped exponential backoff with seeded jitter, in the unit of `base`
+/// and `max`: attempt `n > 0` waits `base * 2^(n-1)`, capped at `max`,
+/// then scaled by a factor in `[1 - jitter, 1 + jitter]` drawn from
+/// `(seed, n)` alone. Attempt 0, a zero base and a negative result all
+/// give 0; `jitter <= 0` disables the scaling.
 #[must_use]
-pub fn splitmix64(state: u64) -> u64 {
+pub fn backoff_delay(base: f64, max: f64, jitter: f64, seed: u64, attempt: u32) -> f64 {
+    if attempt == 0 || base == 0.0 {
+        return 0.0;
+    }
+    let capped = (base * 2f64.powi(attempt as i32 - 1)).min(max).max(0.0);
+    if jitter <= 0.0 {
+        return capped;
+    }
+    // Uniform in [0, 1) from the top 53 bits of one SplitMix64 output.
+    let u = (splitmix64(seed ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
+    (capped * (1.0 + jitter * (2.0 * u - 1.0))).max(0.0)
+}
+
+/// One SplitMix64 output for `state`.
+fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

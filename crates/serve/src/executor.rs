@@ -6,9 +6,10 @@
 //! that already missed its deadline is abandoned via its `expired` callback
 //! rather than executed for a client that has stopped waiting.
 
-use crossbeam::channel::{self, TrySendError};
 use medvid_obs::{counters, values, Recorder};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,6 +21,8 @@ struct Job {
 
 #[derive(Default)]
 struct Counters {
+    /// Admitted jobs no worker has dequeued yet.
+    queued: AtomicUsize,
     executed: AtomicU64,
     rejected: AtomicU64,
     deadline_misses: AtomicU64,
@@ -27,7 +30,7 @@ struct Counters {
 
 /// Fixed worker pool over a bounded admission queue.
 pub struct Executor {
-    tx: Option<channel::Sender<Job>>,
+    tx: Option<SyncSender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     queue_capacity: usize,
     counters: Arc<Counters>,
@@ -44,26 +47,29 @@ impl Executor {
     pub fn new(workers: usize, queue_capacity: usize, recorder: Recorder) -> Self {
         let workers = workers.max(1);
         let queue_capacity = queue_capacity.max(1);
-        let (tx, rx) = channel::bounded::<Job>(queue_capacity);
+        let (tx, rx) = mpsc::sync_channel::<Job>(queue_capacity);
+        let rx = Arc::new(Mutex::new(rx));
         let counters = Arc::new(Counters::default());
         let handles = (0..workers)
             .map(|i| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let counters = Arc::clone(&counters);
                 let recorder = recorder.clone();
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let overdue = job.deadline.is_some_and(|d| Instant::now() > d);
-                            if overdue {
-                                counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                                recorder.incr(counters::SERVE_DEADLINE_MISSES, 1);
-                                (job.expired)();
-                            } else {
-                                (job.work)();
-                                counters.executed.fetch_add(1, Ordering::Relaxed);
-                            }
+                    .spawn(move || loop {
+                        // The guard lives only for `recv`, so the next
+                        // worker can wait while this one runs the job.
+                        let Ok(job) = rx.lock().recv() else { break };
+                        counters.queued.fetch_sub(1, Ordering::Relaxed);
+                        let overdue = job.deadline.is_some_and(|d| Instant::now() > d);
+                        if overdue {
+                            counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
+                            recorder.incr(counters::SERVE_DEADLINE_MISSES, 1);
+                            (job.expired)();
+                        } else {
+                            (job.work)();
+                            counters.executed.fetch_add(1, Ordering::Relaxed);
                         }
                     })
                     .expect("spawn serve worker")
@@ -90,15 +96,17 @@ impl Executor {
         expired: Box<dyn FnOnce() + Send>,
     ) -> Result<(), Rejected> {
         let tx = self.tx.as_ref().expect("executor not shut down");
+        let depth = self.counters.queued.fetch_add(1, Ordering::Relaxed);
         self.recorder
-            .record_value(values::SERVE_QUEUE_DEPTH, tx.len() as u64);
+            .record_value(values::SERVE_QUEUE_DEPTH, depth as u64);
         match tx.try_send(Job {
             deadline,
             work,
             expired,
         }) {
             Ok(()) => Ok(()),
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
+            Err(_) => {
+                self.counters.queued.fetch_sub(1, Ordering::Relaxed);
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 self.recorder.incr(counters::SERVE_REJECTED, 1);
                 Err(Rejected)
@@ -111,7 +119,7 @@ impl Executor {
         crate::protocol::ExecutorStats {
             workers: self.workers.len(),
             queue_capacity: self.queue_capacity,
-            queue_depth: self.tx.as_ref().map_or(0, channel::Sender::len),
+            queue_depth: self.counters.queued.load(Ordering::Relaxed),
             executed: self.counters.executed.load(Ordering::Relaxed),
             rejected: self.counters.rejected.load(Ordering::Relaxed),
             deadline_misses: self.counters.deadline_misses.load(Ordering::Relaxed),
@@ -195,6 +203,46 @@ mod tests {
         assert!(ex.stats().rejected >= 1);
         gate_tx.send(()).unwrap();
         ex.shutdown();
+    }
+
+    #[test]
+    fn queue_depth_counts_waiting_jobs_and_shutdown_drains_them() {
+        // One worker held on a gate, capacity 4: four jobs queue behind the
+        // gated one and the fifth is shed.
+        let ex = Executor::new(1, 4, Recorder::disabled());
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&ran);
+        ex.submit(
+            None,
+            Box::new(move || {
+                started_tx.send(()).unwrap();
+                let _ = gate_rx.recv_timeout(Duration::from_secs(10));
+                counted.fetch_add(1, Ordering::Relaxed);
+            }),
+            Box::new(|| {}),
+        )
+        .unwrap();
+        started_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("worker never dequeued the gated job");
+        for _ in 0..4 {
+            let counted = Arc::clone(&ran);
+            let work = move || {
+                counted.fetch_add(1, Ordering::Relaxed);
+            };
+            ex.submit(None, Box::new(work), Box::new(|| {})).unwrap();
+        }
+        assert_eq!(
+            ex.submit(None, Box::new(|| {}), Box::new(|| {})),
+            Err(Rejected)
+        );
+        let stats = ex.stats();
+        assert_eq!((stats.queue_depth, stats.rejected), (4, 1));
+        gate_tx.send(()).unwrap();
+        ex.shutdown();
+        assert_eq!(ran.load(Ordering::Relaxed), 5, "shutdown drains the queue");
     }
 
     #[test]

@@ -15,19 +15,11 @@
 
 use crate::client::Client;
 use crate::protocol::{ErrorKind, QueryRequest, Request, Response};
+use medvid_jobs::backoff_delay;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
-
-/// One SplitMix64 output for `state` (same mixer the testkit uses, but
-/// independent — serve must not depend on test crates).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Backoff schedule: `max_attempts` tries, exponentially growing delays
 /// with deterministic multiplicative jitter.
@@ -79,21 +71,11 @@ impl RetryPolicy {
 
     /// The delay before attempt `attempt` (0-based). Attempt 0 is
     /// immediate; attempt `k > 0` waits `base * 2^(k-1)`, capped at
-    /// `max_delay`, scaled by the jitter factor for `k`.
+    /// `max_delay`, scaled by the jitter factor for `k`
+    /// ([`medvid_jobs::backoff_delay`] in seconds).
     pub fn delay_before(&self, attempt: u32) -> Duration {
-        if attempt == 0 || self.base_delay.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = self.base_delay.as_secs_f64() * 2f64.powi(attempt as i32 - 1);
-        let capped = exp.min(self.max_delay.as_secs_f64()).max(0.0);
-        let jittered = if self.jitter > 0.0 {
-            // Uniform in [0, 1) from (seed, attempt) alone.
-            let u = (splitmix64(self.seed ^ attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
-            capped * (1.0 + self.jitter * (2.0 * u - 1.0))
-        } else {
-            capped
-        };
-        Duration::from_secs_f64(jittered.max(0.0))
+        let (base, max) = (self.base_delay.as_secs_f64(), self.max_delay.as_secs_f64());
+        Duration::from_secs_f64(backoff_delay(base, max, self.jitter, self.seed, attempt))
     }
 }
 

@@ -906,7 +906,7 @@ fn dispatch_query(
     // reports its own (queue wait, execution) split back alongside the
     // response; both intervals nest inside this thread's blocking wait,
     // so folding them into `ctx` preserves the stage-sum ≤ total bound.
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<(Response, u64, u64)>(1);
+    let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<(Response, u64, u64)>(1);
     let job_shared = Arc::clone(shared);
     let job_snap = Arc::clone(&snap);
     let submitted_at = Instant::now();

@@ -3,7 +3,9 @@
 # BENCH_pipeline.json at the repository root.
 #
 # Usage: scripts/bench.sh [--smoke]
-#   --smoke   tiny corpus, same thread ladder (seconds, used by check.sh)
+#   --smoke   tiny corpus, same thread ladder (seconds, used by check.sh);
+#             writes only target/experiments/bench_pipeline.json and leaves
+#             the root BENCH_pipeline.json untouched
 #
 # Thread budgets beyond the measured set can be probed ad hoc with e.g.
 #   MEDVID_THREADS=8 cargo run --release -p medvid-eval --bin exp_bench

@@ -39,6 +39,11 @@ cargo test -q
 echo "== MEDVID_THREADS=1 cargo test -q -p medvid-codec -p medvid-audio =="
 MEDVID_THREADS=1 cargo test -q -p medvid-codec -p medvid-audio
 
+# The vendored shims' own unit tests. serde_json frames every WAL record,
+# so a shim regression must fail here by name.
+echo "== cargo test -q -p rand -p serde -p serde_json -p parking_lot -p criterion =="
+cargo test -q -p rand -p serde -p serde_json -p parking_lot -p criterion
+
 # The serving stack binds loopback sockets and spawns real worker pools, so
 # its integration suite gets an explicit, visible run of its own.
 echo "== cargo test -q --test serve_integration =="
@@ -116,8 +121,9 @@ echo "== cargo bench --no-run =="
 cargo bench --no-run
 
 # Smoke-size run of the throughput benchmark: exercises the parallel engine
-# end-to-end (including its cross-thread determinism assertion) and refreshes
-# BENCH_pipeline.json.
+# end-to-end (including its cross-thread determinism assertion). It writes
+# target/experiments/bench_pipeline.json only; the root BENCH_pipeline.json
+# trajectory comes from full runs of scripts/bench.sh.
 echo "== scripts/bench.sh --smoke =="
 scripts/bench.sh --smoke
 
