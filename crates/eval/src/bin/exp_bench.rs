@@ -5,28 +5,32 @@
 //! available parallelism, reporting wall clock, frames/second, per-stage
 //! milliseconds (from the telemetry spans) and speedup over the sequential
 //! run — and asserting that every run produced bit-identical structures.
+//! Budgets above the host's CPU count are flagged `oversubscribed`: their
+//! speedup measures scheduling, not parallelism.
 //!
-//! Also measures ingest durability: single-shot WAL appends per second
-//! under each fsync policy (`always`, `every 8`, `never`), quantifying
-//! what the crash-safety guarantee costs at the storage layer — and the
-//! scatter-gather serving tier: query throughput at shard counts 1, 2
-//! and 4 with the corpus hash-partitioned, plus the coordinator's
-//! overhead over a direct single-node client (fan-out, merge and the
-//! extra hop, isolated by comparing a one-shard cluster to the same
-//! records behind a plain `Client`).
+//! Also measures codec encode/decode throughput; single-shot WAL appends
+//! per second under each fsync policy (`always`, `every 8`, `never`);
+//! incremental ingest; the distance kernel; concurrent serving through
+//! `medvid_serve::loadgen` per retrieval strategy, read back through the
+//! server's own `Metrics` window; the scatter-gather tier at shard counts
+//! 1, 2 and 4 against a direct single-node client on the same records
+//! (isolating the coordinator's fan-out and merge); and the control plane.
 //!
 //! Writes two artefacts: the standard experiment envelope under
 //! `target/experiments/bench_pipeline.json`, and the benchmark-trajectory
-//! snapshot `BENCH_pipeline.json` at the repository root. `--smoke` shrinks
+//! snapshot `BENCH_pipeline.json` in the working directory
+//! (`scripts/bench.sh` runs from the repository root). `--smoke` shrinks
 //! the corpus so the tier-1 gate can run it in seconds, and writes only the
 //! envelope: a Tiny-corpus run is no point on the trajectory.
 
 use medvid::{ClassMiner, ClassMinerConfig, MinedVideo};
 use medvid_cluster::{shard_of, ClusterTopology, Coordinator, CoordinatorConfig};
+use medvid_codec::{decode_video, encode_video, EncoderConfig};
 use medvid_eval::report::{f3, print_table, write_report};
 use medvid_index::persist::DatabaseSnapshot;
 use medvid_index::{ShotRecord, VideoDatabase};
 use medvid_obs::{CorpusReport, Recorder, Stage};
+use medvid_serve::loadgen::{self, LoadConfig};
 use medvid_store::{FsyncPolicy, Store, StoreConfig, StoredShot, WalOp};
 use medvid_synth::{standard_corpus, CorpusScale};
 use medvid_types::{EventKind, ShotId, VideoId};
@@ -45,7 +49,20 @@ struct ThreadRun {
     wall_secs: f64,
     frames_per_sec: f64,
     speedup_vs_1: f64,
+    /// More threads than `host_cpus`: the speedup is not a measurement of
+    /// parallel mining.
+    oversubscribed: bool,
     stage_ms: Vec<StageMs>,
+}
+
+/// The codec over the bench corpus: every programme encoded at the
+/// default quality, then decoded back.
+#[derive(Serialize)]
+struct CodecBench {
+    frames: usize,
+    bytes: usize,
+    encode_frames_per_sec: f64,
+    decode_frames_per_sec: f64,
 }
 
 #[derive(Serialize)]
@@ -78,13 +95,30 @@ struct IngestIncrementalRun {
     compaction_ms: f64,
 }
 
-/// The serving layer observed through its own live metrics: a query burst
-/// against a spawned server, summarised by the `medvid-obs/v2` snapshot the
-/// Metrics verb returns (so the benchmark tracks what operators will see,
-/// not just client-side stopwatch numbers).
+/// One retrieval strategy under `loadgen`'s concurrent clients, as the
+/// clients saw it (cumulative over the run).
+#[derive(Serialize)]
+struct LoadRow {
+    strategy: String,
+    throughput_rps: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+    ok: usize,
+    cached: usize,
+    rejected: usize,
+    errors: usize,
+}
+
+/// The serving layer under concurrent load, then observed through its own
+/// live metrics: the `medvid-obs/v2` window the Metrics verb returns after
+/// the load (so the benchmark tracks what operators will see, not just
+/// client-side stopwatch numbers).
 #[derive(Serialize)]
 struct ServeLiveRun {
-    queries: usize,
+    clients: usize,
+    requests_per_client: usize,
+    load: Vec<LoadRow>,
+    window_requests: u64,
     window_qps: f64,
     window_p50_ms: f64,
     window_p99_ms: f64,
@@ -175,6 +209,7 @@ struct BenchReport {
     corpus_frames: usize,
     deterministic_across_threads: bool,
     runs: Vec<ThreadRun>,
+    codec: CodecBench,
     durability: Vec<DurabilityRun>,
     ingest_incremental: Vec<IngestIncrementalRun>,
     serve_live: ServeLiveRun,
@@ -584,12 +619,15 @@ fn kernel_bench(db: &VideoDatabase, smoke: bool) -> KernelBench {
     }
 }
 
-/// Spawns a server over `db`, drives `queries` cache-mixed lookups through
-/// one client, and reads the rolling-window snapshot back via the Metrics
-/// verb.
-fn serve_live_metrics(db: VideoDatabase, queries: usize) -> ServeLiveRun {
-    use medvid_serve::{Client, QueryRequest, Response, ServerConfig};
-    let probes: Vec<Vec<f32>> = db
+/// Spawns a server over `db`, drives `clients × requests` cache-mixed
+/// lookups per retrieval strategy through `loadgen`, and reads the
+/// rolling-window snapshot back via the Metrics verb.
+fn serve_live_bench(db: VideoDatabase, clients: usize, requests: usize) -> ServeLiveRun {
+    use medvid_serve::{Client, Response, ServerConfig, WireStrategy};
+    use std::time::Duration;
+    // Cycling a small probe pool repeats queries, so the window sees both
+    // index executions and cache hits.
+    let vector_pool: Vec<Vec<f32>> = db
         .records_iter()
         .step_by(5)
         .take(8)
@@ -597,35 +635,90 @@ fn serve_live_metrics(db: VideoDatabase, queries: usize) -> ServeLiveRun {
         .collect();
     let handle = medvid_serve::spawn(db, ServerConfig::default(), Recorder::disabled())
         .expect("bind loopback server");
-    let mut client =
-        Client::connect(handle.addr(), std::time::Duration::from_secs(30)).expect("connect");
-    for i in 0..queries {
-        // Cycling a small probe pool repeats queries, so the window sees
-        // both index executions and cache hits.
-        let response = client
-            .query(QueryRequest {
-                vector: Some(probes[i % probes.len()].clone()),
-                limit: Some(5),
-                ..QueryRequest::default()
-            })
-            .expect("query");
-        assert!(matches!(response, Response::Results { .. }));
-    }
+    let strategies = [
+        WireStrategy::Flat,
+        WireStrategy::Hierarchical,
+        WireStrategy::Planned,
+    ];
+    let load = strategies
+        .into_iter()
+        .map(|strategy| {
+            let config = LoadConfig {
+                clients,
+                requests_per_client: requests,
+                strategy,
+                limit: 5,
+                vector_pool: vector_pool.clone(),
+                timeout: Duration::from_secs(30),
+            };
+            let report =
+                loadgen::run(handle.addr(), &config).expect("load run against live server");
+            assert_eq!(
+                report.errors, 0,
+                "{strategy:?}: every request must be answered"
+            );
+            LoadRow {
+                strategy: format!("{strategy:?}"),
+                throughput_rps: report.throughput_rps(),
+                p50_ms: report.quantile_ms(0.50),
+                p99_ms: report.quantile_ms(0.99),
+                ok: report.ok,
+                cached: report.cached,
+                rejected: report.rejected,
+                errors: report.errors,
+            }
+        })
+        .collect();
+    let mut probe = Client::connect(handle.addr(), Duration::from_secs(30)).expect("connect");
     let poll_start = Instant::now();
-    let snapshot = match client.metrics().expect("metrics round-trip") {
+    let snapshot = match probe.metrics().expect("metrics round-trip") {
         Response::Metrics { snapshot } => snapshot,
         other => panic!("expected a metrics snapshot, got {other:?}"),
     };
     let roundtrip = poll_start.elapsed().as_secs_f64() * 1e3;
+    assert!(
+        snapshot.window.requests > 0,
+        "rolling window saw none of the load"
+    );
     handle.shutdown();
     handle.join();
     ServeLiveRun {
-        queries,
+        clients,
+        requests_per_client: requests,
+        load,
+        window_requests: snapshot.window.requests,
         window_qps: snapshot.window.qps,
         window_p50_ms: snapshot.window.p50_ms,
         window_p99_ms: snapshot.window.p99_ms,
         window_cache_hit_rate: snapshot.window.cache_hit_rate,
         metrics_roundtrip_ms: roundtrip,
+    }
+}
+
+/// Encodes every programme at the default quality, then decodes each
+/// bitstream back, timing the two passes.
+fn codec_bench(corpus: &[medvid_types::Video]) -> CodecBench {
+    let start = Instant::now();
+    let streams: Vec<Vec<u8>> = corpus
+        .iter()
+        .map(|v| {
+            encode_video(&v.frames, &EncoderConfig::default()).expect("synthetic frames encode")
+        })
+        .collect();
+    let encode_secs = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let decoded: usize = streams
+        .iter()
+        .map(|bits| decode_video(bits).expect("a fresh bitstream decodes").len())
+        .sum();
+    let decode_secs = start.elapsed().as_secs_f64();
+    let frames: usize = corpus.iter().map(|v| v.frame_count()).sum();
+    assert_eq!(decoded, frames, "decode returns every encoded frame");
+    CodecBench {
+        frames,
+        bytes: streams.iter().map(Vec::len).sum(),
+        encode_frames_per_sec: frames as f64 / encode_secs.max(1e-9),
+        decode_frames_per_sec: frames as f64 / decode_secs.max(1e-9),
     }
 }
 
@@ -856,6 +949,7 @@ fn main() {
             wall_secs: wall,
             frames_per_sec: corpus_frames as f64 / wall.max(1e-9),
             speedup_vs_1: 0.0, // filled below once the sequential wall is known
+            oversubscribed: threads > host_cpus,
             stage_ms,
         });
     }
@@ -879,13 +973,26 @@ fn main() {
                 f3(r.wall_secs),
                 f3(r.frames_per_sec),
                 f3(r.speedup_vs_1),
+                r.oversubscribed.to_string(),
             ]
         })
         .collect();
     print_table(
         "E-BENCH — mining throughput vs thread budget",
-        &["threads", "wall s", "frames/s", "speedup"],
+        &["threads", "wall s", "frames/s", "speedup", "oversubscribed"],
         &table,
+    );
+
+    let codec = codec_bench(&corpus);
+    print_table(
+        "E-BENCH — codec throughput (default quality)",
+        &["frames", "bytes", "encode frames/s", "decode frames/s"],
+        &[vec![
+            codec.frames.to_string(),
+            codec.bytes.to_string(),
+            f3(codec.encode_frames_per_sec),
+            f3(codec.decode_frames_per_sec),
+        ]],
     );
 
     // Ingest durability: the cost of the WAL's crash-safety guarantee at
@@ -949,8 +1056,8 @@ fn main() {
         largest.rebuild_wall_secs
     );
 
-    // Serving-layer observability: index the corpus once, burst queries at
-    // a spawned server, and snapshot its rolling window over the wire.
+    // Serving: index the corpus once, drive concurrent clients at a
+    // spawned server, and snapshot its rolling window over the wire.
     let (db, _) = miner.index_corpus(&corpus);
     let template = db.snapshot();
 
@@ -986,12 +1093,36 @@ fn main() {
         &planner_table,
     );
 
-    let serve_live = serve_live_metrics(db, if smoke { 40 } else { 400 });
+    let (clients, requests) = if smoke { (2, 10) } else { (4, 50) };
+    let serve_live = serve_live_bench(db, clients, requests);
+    let load_table: Vec<Vec<String>> = serve_live
+        .load
+        .iter()
+        .map(|r| {
+            vec![
+                r.strategy.clone(),
+                f3(r.throughput_rps),
+                f3(r.p50_ms),
+                f3(r.p99_ms),
+                r.ok.to_string(),
+                r.cached.to_string(),
+                r.rejected.to_string(),
+                r.errors.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("E-BENCH — loadgen serving, {clients} clients x {requests} requests"),
+        &[
+            "strategy", "req/s", "p50 ms", "p99 ms", "ok", "cached", "rejected", "errors",
+        ],
+        &load_table,
+    );
     print_table(
         "E-BENCH — serve live metrics (medvid-obs/v2 window)",
         &["queries", "qps", "p50 ms", "p99 ms", "cache hit", "poll ms"],
         &[vec![
-            serve_live.queries.to_string(),
+            serve_live.window_requests.to_string(),
             f3(serve_live.window_qps),
             f3(serve_live.window_p50_ms),
             f3(serve_live.window_p99_ms),
@@ -1056,6 +1187,7 @@ fn main() {
         corpus_frames,
         deterministic_across_threads: deterministic,
         runs,
+        codec,
         durability,
         ingest_incremental,
         serve_live,
@@ -1063,10 +1195,10 @@ fn main() {
         control_plane,
         kernel,
     };
-    // The benchmark trajectory lives at the repository root so successive
-    // PRs can diff it; the manifest dir anchors the path regardless of cwd.
-    // A smoke run must not overwrite it with Tiny-corpus numbers.
-    let root_artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+    // The benchmark trajectory goes to the working directory, so a binary
+    // writes into the checkout it is run from. A smoke run must not
+    // overwrite it with Tiny-corpus numbers.
+    let root_artifact = "BENCH_pipeline.json";
     match serde_json::to_string_pretty(&bench) {
         Ok(_) if smoke => {}
         Ok(json) => {

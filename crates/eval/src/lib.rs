@@ -8,6 +8,8 @@
 //! | E-TAB1 | Table 1 event-mining PR/RE | [`events_exp`] | `exp_table1` |
 //! | E-IDX | Sec. 6.2 retrieval cost (Eqs. 24–25) | [`indexing_exp`] | `exp_indexing` |
 //! | E-FIG14/15 | Figs. 14–15 skimming scores & FCR | [`skim_exp`] | `exp_fig14`, `exp_fig15` |
+//! | E-ABL, E-COD, E-AUD | Ablations: thresholds, features, clustering, codec quality, BIC λ | [`ablations`] | `exp_ablations` |
+//! | E-BENCH | Mining, codec, storage and serving throughput (`BENCH_pipeline.json`) | — | `exp_bench` |
 //!
 //! Each module exposes a pure `run_*` function returning structured results
 //! (serde-serialisable), which the binaries print as the tables/series the
@@ -16,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod corpus;
 pub mod events_exp;
 pub mod fig5;

@@ -47,53 +47,55 @@ pub struct MethodResult {
     pub crf: f64,
 }
 
-/// Detects scenes with one method on pre-detected shots.
+/// Detects scenes with one method on pre-detected shots, timing Method A's
+/// group and scene stages through `rec` (the baseline methods are not
+/// instrumented).
 pub fn scenes_with_method(
-    method: Method,
-    shots: &[medvid_types::Shot],
-    w: SimilarityWeights,
-) -> Vec<Vec<ShotId>> {
-    scenes_with_method_observed(method, shots, w, &Recorder::disabled())
-}
-
-/// Like [`scenes_with_method`], timing Method A's group and scene stages
-/// through `rec` (the baseline methods are not instrumented).
-pub fn scenes_with_method_observed(
     method: Method,
     shots: &[medvid_types::Shot],
     w: SimilarityWeights,
     rec: &Recorder,
 ) -> Vec<Vec<ShotId>> {
     match method {
-        Method::A => {
-            let groups = {
-                let _span = rec.span(Stage::GroupMine);
-                detect_groups(shots, w, &GroupConfig::default()).groups
-            };
-            rec.incr(counters::GROUPS_FORMED, groups.len() as u64);
-            let det = {
-                let _span = rec.span(Stage::SceneMerge);
-                detect_scenes(&groups, shots, w, &SceneConfig::default())
-            };
-            rec.incr(counters::SCENES_DETECTED, det.scenes.len() as u64);
-            rec.incr(counters::SCENES_DROPPED, det.dropped as u64);
-            det.scenes
-                .iter()
-                .map(|scene| {
-                    let mut out: Vec<ShotId> = scene
-                        .groups
-                        .iter()
-                        .flat_map(|&g| groups[g.index()].shots.clone())
-                        .collect();
-                    out.sort_unstable();
-                    out
-                })
-                .collect()
-        }
+        Method::A => method_a_scenes(shots, w, &GroupConfig::default(), rec),
         Method::B => rui_scenes(shots, w, &RuiConfig::default()),
         Method::C => lin_zhang_scenes(shots, w, &LinZhangConfig::default()),
         Method::D => stg_scenes(shots, w, &StgConfig::default()),
     }
+}
+
+/// Method A on pre-detected shots under explicit group thresholds, as
+/// sorted shot ids per scene; the group and scene stages are timed through
+/// `rec`. The ablations call it with non-default thresholds and weights.
+pub fn method_a_scenes(
+    shots: &[medvid_types::Shot],
+    w: SimilarityWeights,
+    group: &GroupConfig,
+    rec: &Recorder,
+) -> Vec<Vec<ShotId>> {
+    let groups = {
+        let _span = rec.span(Stage::GroupMine);
+        detect_groups(shots, w, group).groups
+    };
+    rec.incr(counters::GROUPS_FORMED, groups.len() as u64);
+    let det = {
+        let _span = rec.span(Stage::SceneMerge);
+        detect_scenes(&groups, shots, w, &SceneConfig::default())
+    };
+    rec.incr(counters::SCENES_DETECTED, det.scenes.len() as u64);
+    rec.incr(counters::SCENES_DROPPED, det.dropped as u64);
+    det.scenes
+        .iter()
+        .map(|scene| {
+            let mut out: Vec<ShotId> = scene
+                .groups
+                .iter()
+                .flat_map(|&g| groups[g.index()].shots.clone())
+                .collect();
+            out.sort_unstable();
+            out
+        })
+        .collect()
 }
 
 /// Runs the Figs. 12–13 comparison across a corpus (videos processed in
@@ -118,7 +120,7 @@ pub fn run_comparison_observed(corpus: &[Video], registry: &MetricsRegistry) -> 
         };
         rec.incr(counters::SHOTS_DETECTED, detection.shots.len() as u64);
         Method::EXTENDED.map(|method| {
-            let scenes = scenes_with_method_observed(method, &detection.shots, w, rec);
+            let scenes = scenes_with_method(method, &detection.shots, w, rec);
             scene_precision(&scenes, &detection.shots, truth)
         })
     });
@@ -159,7 +161,8 @@ pub fn run_listing(video: &Video) -> Vec<SceneListing> {
     let truth = video.truth.as_ref().expect("ground truth required");
     let w = SimilarityWeights::default();
     let detection = detect_shots(video, &ShotDetectorConfig::default());
-    let scenes = scenes_with_method(Method::A, &detection.shots, w);
+    let rec = Recorder::disabled();
+    let scenes = method_a_scenes(&detection.shots, w, &GroupConfig::default(), &rec);
     scenes
         .iter()
         .enumerate()

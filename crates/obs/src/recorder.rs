@@ -11,8 +11,7 @@ use std::sync::Arc;
 /// Every instrumented pipeline entry point takes a `&Recorder`; the
 /// uninstrumented public API passes [`Recorder::disabled`], which makes
 /// every call a no-op — no clock reads, no allocation, no locking — so
-/// instrumentation costs nothing when it is not wanted (the criterion
-/// benches run through this path).
+/// instrumentation costs nothing when it is not wanted.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     registry: Option<Arc<MetricsRegistry>>,

@@ -19,7 +19,9 @@
 //!
 //! [`loadgen`] drives N concurrent clients against a server and reports
 //! throughput and latency quantiles via the same `medvid-obs` histograms
-//! the server records into.
+//! the server records into. The benchmark harness (`exp_bench` in
+//! `medvid-eval`) runs it once per retrieval strategy for the client-side
+//! serving rows of `BENCH_pipeline.json`.
 //!
 //! Servers spawned with [`server::spawn_durable`] additionally write every
 //! ingest batch to a `medvid-store` write-ahead log *before* the epoch

@@ -47,8 +47,6 @@ impl Default for LoadConfig {
 /// Aggregated outcome of one load run.
 #[derive(Debug)]
 pub struct LoadReport {
-    /// Requests attempted.
-    pub total: usize,
     /// Successful result responses.
     pub ok: usize,
     /// Responses served from the result cache.
@@ -79,20 +77,6 @@ impl LoadReport {
     /// Latency quantile in milliseconds.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         self.latency.quantile_nanos(q) as f64 / 1e6
-    }
-
-    /// Human-readable summary table row.
-    pub fn render_line(&self, label: &str) -> String {
-        format!(
-            "{label:>14}  {:>7.1} req/s  p50 {:>7.3} ms  p99 {:>7.3} ms  ok {} cached {} rejected {} errors {}",
-            self.throughput_rps(),
-            self.quantile_ms(0.50),
-            self.quantile_ms(0.99),
-            self.ok,
-            self.cached,
-            self.rejected,
-            self.errors,
-        )
     }
 }
 
@@ -153,7 +137,6 @@ pub fn run(addr: SocketAddr, config: &LoadConfig) -> io::Result<LoadReport> {
         })
         .collect();
     let mut report = LoadReport {
-        total: clients * config.requests_per_client,
         ok: 0,
         cached: 0,
         rejected: 0,

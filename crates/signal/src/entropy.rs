@@ -4,7 +4,7 @@
 //! automatically with the "fast entropy technique" of Fan et al. \[10\],
 //! which we reconstruct as histogram bi-partitioning: bucket the observed
 //! values, split at the boundary maximising the between-class variance
-//! (Otsu's criterion — more robust than maximum-entropy splitting when the
+//! (Otsu's rule — more robust than maximum-entropy splitting when the
 //! two modes are unbalanced), then refine the threshold to the midpoint of
 //! the gap between the two classes.
 
@@ -38,7 +38,7 @@ pub fn entropy_threshold(values: &[f32]) -> f32 {
         *h /= total;
     }
     // Bipartition by maximum between-class variance (Otsu). Kapur's
-    // maximum-entropy criterion drifts into a wide low mode when the two
+    // maximum-entropy split drifts into a wide low mode when the two
     // modes are unbalanced; Otsu splits the gap reliably and plays the same
     // role the fast-entropy technique of [10] plays in the paper.
     let mut best_t = 0usize;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark trajectory: runs the E-BENCH throughput experiment and refreshes
-# BENCH_pipeline.json at the repository root.
+# BENCH_pipeline.json at the repository root (exp_bench writes it to the
+# working directory, and this script runs from the root).
 #
 # Usage: scripts/bench.sh [--smoke]
 #   --smoke   tiny corpus, same thread ladder (seconds, used by check.sh);
