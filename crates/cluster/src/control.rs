@@ -670,6 +670,7 @@ fn drain_stragglers(
             .iter()
             .flat_map(|r: &WalRecord| wal_shots(&r.op))
             .filter(|s| next.shard_of(s.video) == new_id)
+            .cloned()
             .collect();
         applied = records.iter().map(|r| r.seq).max().unwrap_or(applied).max(applied);
         if !moved.is_empty() {
@@ -700,20 +701,13 @@ fn drain_stragglers(
 
 /// The ingest shots carried by one WAL operation (checkpoint markers
 /// carry none).
-fn wal_shots(op: &WalOp) -> Vec<IngestShot> {
-    let stored_to_shot = |s: &medvid_store::StoredShot| IngestShot {
-        video: s.video,
-        shot: s.shot,
-        features: s.features.clone(),
-        event: s.event,
-        scene_node: s.scene_node,
-    };
+fn wal_shots(op: &WalOp) -> &[IngestShot] {
     match op {
-        WalOp::IngestShot { shot } => vec![stored_to_shot(shot)],
-        WalOp::IngestVideo { shots } => shots.iter().map(stored_to_shot).collect(),
+        WalOp::IngestShot { shot } => std::slice::from_ref(shot),
+        WalOp::IngestVideo { shots } => shots,
         // The serving tier never logs removals (there is no wire verb for
         // them), so a drained suffix cannot carry one.
-        WalOp::RemoveVideo { .. } | WalOp::Checkpoint { .. } => Vec::new(),
+        WalOp::RemoveVideo { .. } | WalOp::Checkpoint { .. } => &[],
     }
 }
 

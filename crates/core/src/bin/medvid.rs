@@ -1178,19 +1178,13 @@ fn print_response(response: &Response) {
         Response::Jobs { jobs } => {
             println!("{} job(s)", jobs.len());
             for j in jobs {
-                let progress = match (j.step, j.cursor) {
-                    (Some(step), Some(cursor)) => {
-                        format!("  checkpoint step {step} cursor {cursor}")
-                    }
-                    _ => String::new(),
-                };
                 let error = match &j.error {
                     Some(e) => format!("  last error: {e}"),
                     None => String::new(),
                 };
                 println!(
-                    "  job {} [{}] {}  attempts {}  pipeline v{}{progress}{error}",
-                    j.id, j.kind, j.state, j.attempts, j.pipeline_version
+                    "  job {} [{}] {}  attempts {}{error}",
+                    j.id, j.kind, j.state, j.attempts
                 );
             }
         }

@@ -1,27 +1,26 @@
-//! Durable, lease-based background job queue for the mining pipeline.
+//! Durable, lease-based background job queue for the serving index.
 //!
-//! Mining a new clinical video is schedulable background work, not a
-//! synchronous call: this crate turns "ingest these shots" and "re-cluster
-//! the index" into **jobs** that survive crashes and resume where they
-//! stopped. The design reuses the `medvid-store` WAL machinery:
+//! Re-clustering a drifted index is background work, not a synchronous
+//! call: this crate turns "re-cluster the index" into a **job** that
+//! survives crashes and is handed to another worker when its holder dies.
+//! Shots themselves are indexed by the durable, fenced ingest path of
+//! `medvid-serve`, not through this queue. The design reuses the
+//! `medvid-store` WAL machinery:
 //!
 //! * a **checksummed append-only jobs log** — every state transition
-//!   (submitted / leased / heartbeat / step checkpoint / completed /
-//!   failed) is one CRC-framed [`JobLogRecord`] on the store's framed log
+//!   (submitted / leased / heartbeat / completed / failed) is one
+//!   CRC-framed [`JobLogRecord`] on the store's framed log
 //!   (`medvid_store::wal`). The scanner and writer are the WAL's own, so
 //!   torn tails, torn headers and foreign files are handled exactly as
 //!   the store handles them; [`log`] holds only the record types;
 //! * **TTL leases** ([`queue`]) — a worker claims a job for a bounded
 //!   window and must heartbeat to keep it; if the worker dies the lease
-//!   expires and the next claim hands the job to someone else, resuming
-//!   from the last durable step checkpoint;
+//!   expires and the next claim hands the job to someone else, who runs
+//!   it again from the start;
 //! * **bounded retries with seeded-jitter backoff** ([`BackoffPolicy`]) —
 //!   [`backoff_delay`] is the one formula, shared with
 //!   `medvid_serve::RetryPolicy`, so a failed job's retry schedule is
-//!   deterministic under a pinned seed;
-//! * a **pipeline version** stamped on every submitted job — recovery
-//!   discards step checkpoints written by an older pipeline so stale
-//!   intermediate results are never resumed into new code.
+//!   deterministic under a pinned seed.
 //!
 //! Everything is std-only and single-threaded at this layer: the queue
 //! takes the caller's clock (`now_ms`) on every call, which makes TTL

@@ -8,7 +8,7 @@
 //! recovers exactly like the shot WAL: the longest valid prefix survives,
 //! the rest is truncated, and damage is a typed [`medvid_store::TailFault`].
 
-use medvid_store::{Framed, StoredShot};
+use medvid_store::Framed;
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every jobs log (distinct from `WAL_MAGIC` so a
@@ -25,11 +25,6 @@ pub enum JobKind {
     /// Re-run PCS/merge over the drifted index and publish the rebuilt
     /// hierarchy as one epoch bump.
     Compaction,
-    /// Index a batch of mined shots incrementally, in checkpointed chunks.
-    Ingest {
-        /// The shots to index, in submission order.
-        shots: Vec<StoredShot>,
-    },
 }
 
 impl JobKind {
@@ -38,7 +33,6 @@ impl JobKind {
     pub fn name(&self) -> &'static str {
         match self {
             JobKind::Compaction => "compaction",
-            JobKind::Ingest { .. } => "ingest",
         }
     }
 }
@@ -53,9 +47,6 @@ pub enum JobOp {
         job: u64,
         /// What the job does.
         kind: JobKind,
-        /// Pipeline version the job was submitted under; checkpoints from
-        /// a different version are discarded on recovery.
-        pipeline_version: u32,
     },
     /// A worker acquired (or re-acquired) the job's lease.
     Leased {
@@ -76,15 +67,6 @@ pub enum JobOp {
         worker: String,
         /// New expiry in wall-clock milliseconds.
         lease_until_ms: u64,
-    },
-    /// The holder finished a resumable unit of work.
-    Step {
-        /// The checkpointed job.
-        job: u64,
-        /// 0-based step index just completed.
-        step: u32,
-        /// Opaque progress cursor (for ingest: shots applied so far).
-        cursor: u64,
     },
     /// The job finished successfully; its effects are durable elsewhere.
     Completed {
@@ -111,7 +93,6 @@ impl JobOp {
             JobOp::Submitted { job, .. }
             | JobOp::Leased { job, .. }
             | JobOp::Heartbeat { job, .. }
-            | JobOp::Step { job, .. }
             | JobOp::Completed { job }
             | JobOp::Failed { job, .. } => *job,
         }
@@ -198,14 +179,35 @@ mod tests {
             op: JobOp::Submitted {
                 job: 1,
                 kind: JobKind::Compaction,
-                pipeline_version: 2,
             },
         };
         let frame = encode_record(&record).unwrap();
-        assert_eq!(frame[..8], [0x00, 0x00, 0x00, 0x5b, 0xc2, 0x61, 0xe6, 0x4f]);
+        assert_eq!(frame[..8], [0x00, 0x00, 0x00, 0x46, 0x3f, 0xc4, 0x63, 0x64]);
         assert_eq!(
             std::str::from_utf8(&frame[8..]).unwrap(),
-            r#"{"seq":3,"op":{"op":"submitted","job":1,"kind":{"type":"compaction"},"pipeline_version":2}}"#
+            r#"{"seq":3,"op":{"op":"submitted","job":1,"kind":{"type":"compaction"}}}"#
+        );
+    }
+
+    /// Logs written before the submission record lost its version stamp
+    /// hold only compaction jobs; their frames must still decode.
+    #[test]
+    fn stamped_submitted_frame_still_decodes() {
+        let payload = br#"{"seq":3,"op":{"op":"submitted","job":1,"kind":{"type":"compaction"},"pipeline_version":2}}"#;
+        let mut bytes = JOB_MAGIC.to_vec();
+        bytes.extend_from_slice(&[0x00, 0x00, 0x00, 0x5b, 0xc2, 0x61, 0xe6, 0x4f]);
+        bytes.extend_from_slice(payload);
+        let scan = scan_bytes::<JobLogRecord>(&bytes);
+        assert_eq!(scan.fault, None);
+        assert_eq!(
+            scan.records,
+            vec![JobLogRecord {
+                seq: 3,
+                op: JobOp::Submitted {
+                    job: 1,
+                    kind: JobKind::Compaction,
+                },
+            }]
         );
     }
 }

@@ -11,12 +11,11 @@
 //!
 //! * [`JobQueue::claim`] hands the lowest-id runnable job to a worker for
 //!   `lease_ttl_ms`; an expired lease observed during a claim is counted
-//!   and the job handed over (the crashed holder's checkpoint rides
-//!   along, so the new holder resumes rather than restarts).
+//!   and the job handed over, to be run again from the start.
 //! * Every holder-side call ([`JobQueue::heartbeat`],
-//!   [`JobQueue::checkpoint_step`], [`JobQueue::complete`],
-//!   [`JobQueue::fail`]) is fenced: a worker whose lease was taken over
-//!   gets [`JobError::LeaseLost`] and must abandon the job.
+//!   [`JobQueue::complete`], [`JobQueue::fail`]) is fenced: a worker whose
+//!   lease was taken over gets [`JobError::LeaseLost`] and must abandon the
+//!   job.
 //! * Attempts are bounded by [`crate::BackoffPolicy::max_attempts`]; an
 //!   explicit failure re-queues with seeded-jitter backoff, and
 //!   exhaustion parks the job terminally failed.
@@ -58,10 +57,8 @@ pub enum JobPhase {
 #[derive(Debug, Clone)]
 struct JobEntry {
     kind: JobKind,
-    pipeline_version: u32,
     phase: JobPhase,
     attempts: u32,
-    checkpoint: Option<(u32, u64)>,
     last_error: Option<String>,
 }
 
@@ -72,9 +69,6 @@ pub struct QueueConfig {
     pub lease_ttl_ms: u64,
     /// Retry budget and backoff schedule.
     pub backoff: BackoffPolicy,
-    /// Version stamped on submissions; recovery discards step checkpoints
-    /// written under any other version.
-    pub pipeline_version: u32,
     /// Fsync policy for the jobs log.
     pub fsync: FsyncPolicy,
 }
@@ -84,7 +78,6 @@ impl Default for QueueConfig {
         QueueConfig {
             lease_ttl_ms: 5_000,
             backoff: BackoffPolicy::default(),
-            pipeline_version: 1,
             fsync: FsyncPolicy::Always,
         }
     }
@@ -102,13 +95,9 @@ pub struct JobRecovery {
     /// Leases held at crash time that were released back to the queue
     /// (each such job becomes claimable exactly once).
     pub released: u64,
-    /// Step checkpoints discarded because their pipeline version differs
-    /// from the current one.
-    pub invalidated: u64,
 }
 
-/// A successful claim: the job, which attempt this is, and where to
-/// resume.
+/// A successful claim: the job and which attempt this is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeasedJob {
     /// The claimed job.
@@ -117,9 +106,6 @@ pub struct LeasedJob {
     pub kind: JobKind,
     /// 1-based attempt number this lease begins.
     pub attempt: u32,
-    /// Last durable `(step, cursor)` checkpoint, if any — resume after
-    /// it instead of restarting.
-    pub resume: Option<(u32, u64)>,
 }
 
 /// Point-in-time status of one job, for listings and the wire protocol.
@@ -127,22 +113,16 @@ pub struct LeasedJob {
 pub struct JobStatusView {
     /// The job.
     pub id: JobId,
-    /// Kind name (`compaction` / `ingest`).
+    /// Kind name (`compaction`).
     pub kind: String,
     /// Phase name (`queued` / `leased` / `completed` / `failed`).
     pub state: String,
     /// Leases taken so far.
     pub attempts: u32,
-    /// Last checkpointed step, if any.
-    pub step: Option<u32>,
-    /// Last checkpointed cursor, if any.
-    pub cursor: Option<u64>,
     /// Most recent error, if any.
     pub error: Option<String>,
     /// Current holder, when leased.
     pub worker: Option<String>,
-    /// Pipeline version the job was submitted under.
-    pub pipeline_version: u32,
 }
 
 /// Aggregate queue counters (phase counts are current, the rest are
@@ -232,9 +212,8 @@ impl JobQueue {
 
     /// Opens (or creates) the durable queue whose log lives in `dir` as
     /// [`JOB_LOG_FILE`]. Replays the valid prefix, truncates any torn
-    /// tail (a torn header is rebuilt), releases crashed holders' leases
-    /// back to the queue exactly once, and discards step checkpoints from
-    /// other pipeline versions.
+    /// tail (a torn header is rebuilt) and releases crashed holders' leases
+    /// back to the queue exactly once.
     ///
     /// # Errors
     /// Propagates I/O failures. A file that does not start with the jobs
@@ -250,7 +229,6 @@ impl JobQueue {
             discarded_bytes: 0,
             fault: None,
             released: 0,
-            invalidated: 0,
         };
         match scan_log::<JobLogRecord>(&path)? {
             None => {
@@ -277,16 +255,6 @@ impl JobQueue {
                     if let JobPhase::Leased { .. } = entry.phase {
                         entry.phase = JobPhase::Queued { not_before_ms: 0 };
                         report.released += 1;
-                    }
-                    let terminal = matches!(
-                        entry.phase,
-                        JobPhase::Completed | JobPhase::Failed { .. }
-                    );
-                    if !terminal
-                        && entry.pipeline_version != queue.config.pipeline_version
-                        && entry.checkpoint.take().is_some()
-                    {
-                        report.invalidated += 1;
                     }
                 }
                 queue.log = Some(LogWriter::open_at(
@@ -320,19 +288,13 @@ impl JobQueue {
     /// paths agree byte-for-byte on what each record means.
     fn apply(&mut self, op: &JobOp) {
         match op {
-            JobOp::Submitted {
-                job,
-                kind,
-                pipeline_version,
-            } => {
+            JobOp::Submitted { job, kind } => {
                 self.entries.insert(
                     *job,
                     JobEntry {
                         kind: kind.clone(),
-                        pipeline_version: *pipeline_version,
                         phase: JobPhase::Queued { not_before_ms: 0 },
                         attempts: 0,
-                        checkpoint: None,
                         last_error: None,
                     },
                 );
@@ -369,11 +331,6 @@ impl JobQueue {
                     }
                 }
             }
-            JobOp::Step { job, step, cursor } => {
-                if let Some(entry) = self.entries.get_mut(job) {
-                    entry.checkpoint = Some((*step, *cursor));
-                }
-            }
             JobOp::Completed { job } => {
                 if let Some(entry) = self.entries.get_mut(job) {
                     entry.phase = JobPhase::Completed;
@@ -406,11 +363,7 @@ impl JobQueue {
     /// Propagates jobs-log I/O failures.
     pub fn submit(&mut self, kind: JobKind, _now_ms: u64) -> io::Result<JobId> {
         let job = self.next_id;
-        let op = JobOp::Submitted {
-            job,
-            kind,
-            pipeline_version: self.config.pipeline_version,
-        };
+        let op = JobOp::Submitted { job, kind };
         self.log_op(op.clone())?;
         self.apply(&op);
         Ok(job)
@@ -418,9 +371,8 @@ impl JobQueue {
 
     /// Hands the lowest-id runnable job to `worker` for `lease_ttl_ms`.
     /// An expired lease encountered on the way is counted and the job
-    /// re-leased (with its checkpoint, so the new holder resumes); a job
-    /// whose attempts are exhausted is parked terminally failed instead
-    /// of handed out.
+    /// re-leased; a job whose attempts are exhausted is parked terminally
+    /// failed instead of handed out.
     ///
     /// # Errors
     /// Propagates jobs-log I/O failures.
@@ -462,12 +414,10 @@ impl JobQueue {
             };
             self.log_op(op.clone())?;
             self.apply(&op);
-            let entry = &self.entries[&id];
             return Ok(Some(LeasedJob {
                 id,
-                kind: entry.kind.clone(),
+                kind: self.entries[&id].kind.clone(),
                 attempt,
-                resume: entry.checkpoint,
             }));
         }
         Ok(None)
@@ -508,26 +458,6 @@ impl JobQueue {
         Ok(until)
     }
 
-    /// Durably records that the caller finished step `step` with progress
-    /// `cursor` — a later holder resumes after this point.
-    ///
-    /// # Errors
-    /// [`JobError::LeaseLost`] when the caller no longer holds the lease;
-    /// I/O failures as [`JobError::Io`].
-    pub fn checkpoint_step(
-        &mut self,
-        job: JobId,
-        worker: &str,
-        step: u32,
-        cursor: u64,
-    ) -> Result<(), JobError> {
-        self.fence(job, worker)?;
-        let op = JobOp::Step { job, step, cursor };
-        self.log_op(op.clone())?;
-        self.apply(&op);
-        Ok(())
-    }
-
     /// Marks the job finished successfully.
     ///
     /// # Errors
@@ -542,8 +472,8 @@ impl JobQueue {
     }
 
     /// Records a failed attempt. With retry budget left the job re-queues
-    /// after the backoff delay for this attempt (checkpoint preserved);
-    /// otherwise it is parked terminally failed.
+    /// after the backoff delay for this attempt; otherwise it is parked
+    /// terminally failed.
     ///
     /// # Errors
     /// [`JobError::LeaseLost`] when the caller no longer holds the lease;
@@ -595,11 +525,8 @@ impl JobQueue {
             kind: entry.kind.name().to_string(),
             state: state.to_string(),
             attempts: entry.attempts,
-            step: entry.checkpoint.map(|(s, _)| s),
-            cursor: entry.checkpoint.map(|(_, c)| c),
             error: entry.last_error.clone(),
             worker,
-            pipeline_version: entry.pipeline_version,
         }
     }
 
@@ -655,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_submit_claim_step_complete() {
+    fn lifecycle_submit_claim_complete() {
         let mut q = JobQueue::in_memory(config());
         let id = q.submit(JobKind::Compaction, 0).unwrap();
         assert_eq!(q.status(id).unwrap().state, "queued");
@@ -663,15 +590,11 @@ mod tests {
         let lease = q.claim("w1", 10).unwrap().unwrap();
         assert_eq!(lease.id, id);
         assert_eq!(lease.attempt, 1);
-        assert_eq!(lease.resume, None);
         assert_eq!(q.status(id).unwrap().state, "leased");
         assert_eq!(q.status(id).unwrap().worker.as_deref(), Some("w1"));
 
-        q.checkpoint_step(id, "w1", 0, 64).unwrap();
         q.complete(id, "w1").unwrap();
-        let view = q.status(id).unwrap();
-        assert_eq!(view.state, "completed");
-        assert_eq!(view.cursor, Some(64));
+        assert_eq!(q.status(id).unwrap().state, "completed");
 
         // A finished job never comes back.
         assert!(q.claim("w2", 20).unwrap().is_none());
@@ -679,20 +602,18 @@ mod tests {
     }
 
     #[test]
-    fn expired_lease_is_handed_over_with_checkpoint_and_fences_the_zombie() {
+    fn expired_lease_is_handed_over_and_fences_the_zombie() {
         let mut q = JobQueue::in_memory(config());
         let id = q.submit(JobKind::Compaction, 0).unwrap();
         q.claim("a", 0).unwrap().unwrap();
-        q.checkpoint_step(id, "a", 2, 512).unwrap();
 
         // Lease still live: nothing to claim.
         assert!(q.claim("b", 1_000).unwrap().is_none());
 
-        // Past the TTL the job moves to b, resuming from a's checkpoint.
+        // Past the TTL the job moves to b.
         let lease = q.claim("b", 5_001).unwrap().unwrap();
         assert_eq!(lease.id, id);
         assert_eq!(lease.attempt, 2);
-        assert_eq!(lease.resume, Some((2, 512)));
         assert_eq!(q.stats().lease_expiries, 1);
 
         // The original holder is fenced out of every holder-side call.
@@ -701,7 +622,7 @@ mod tests {
             Err(JobError::LeaseLost { .. })
         ));
         assert!(matches!(
-            q.checkpoint_step(id, "a", 3, 600),
+            q.fail(id, "a", "late", 5_002),
             Err(JobError::LeaseLost { .. })
         ));
         assert!(matches!(q.complete(id, "a"), Err(JobError::Terminal(_)) | Err(JobError::LeaseLost { .. })));
@@ -789,7 +710,6 @@ mod tests {
             let stuck = q.submit(JobKind::Compaction, 0).unwrap();
             let lease = q.claim("a", 10).unwrap().unwrap();
             assert_eq!(lease.id, stuck);
-            q.checkpoint_step(stuck, "a", 3, 777).unwrap();
             // Crash: q dropped while `stuck` is leased.
         }
         let (mut q, report) = JobQueue::open(&dir, config()).unwrap();
@@ -798,32 +718,12 @@ mod tests {
         assert_eq!(q.stats().completed, 1);
         assert_eq!(q.stats().queued, 1);
 
-        // The released job resumes from its durable checkpoint...
+        // The released job is handed out again...
         let lease = q.claim("b", 0).unwrap().unwrap();
-        assert_eq!(lease.resume, Some((3, 777)));
+        assert_eq!(lease.id, 2);
         assert_eq!(lease.attempt, 2);
         // ...and only one claimable copy exists.
         assert!(q.claim("c", 0).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pipeline_version_change_discards_checkpoints_on_recovery() {
-        let dir = scratch("version");
-        {
-            let (mut q, _) = JobQueue::open(&dir, config()).unwrap();
-            let id = q.submit(JobKind::Compaction, 0).unwrap();
-            q.claim("a", 0).unwrap();
-            q.checkpoint_step(id, "a", 5, 1_000).unwrap();
-        }
-        let upgraded = QueueConfig {
-            pipeline_version: 2,
-            ..config()
-        };
-        let (mut q, report) = JobQueue::open(&dir, upgraded).unwrap();
-        assert_eq!(report.invalidated, 1);
-        let lease = q.claim("b", 0).unwrap().unwrap();
-        assert_eq!(lease.resume, None, "stale checkpoint must not be resumed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

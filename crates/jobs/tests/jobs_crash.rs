@@ -1,16 +1,14 @@
 //! Crash-consistency properties for the jobs log, mirroring the store's
 //! `crash_consistency.rs`: a log torn at *every possible byte offset*
 //! must recover without panicking to the replay of some valid prefix —
-//! a completed job stays completed (its effects are never re-run), an
-//! incomplete job is released back to the queue **exactly once**, and a
-//! resumed job picks up from its last durable step checkpoint, never
-//! before it.
+//! a completed job stays completed (its effects are never re-run) and an
+//! incomplete job is released back to the queue **exactly once**.
 //!
 //! Failures print a one-line reproduction; replay with
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
-use medvid_jobs::{JobKind, JobLogRecord, JobQueue, QueueConfig, JOB_LOG_FILE, JOB_MAGIC};
-use medvid_store::{scan_bytes, TailFault};
+use medvid_jobs::{JobKind, JobLogRecord, JobOp, JobQueue, QueueConfig, JOB_LOG_FILE, JOB_MAGIC};
+use medvid_store::{crc32, encode_record, scan_bytes, TailFault};
 use medvid_testkit::{forall, require, NoShrink};
 use std::path::{Path, PathBuf};
 
@@ -21,21 +19,23 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Builds a jobs log with a rich history: one completed job (with steps),
-/// one mid-flight leased job with a checkpoint, one queued job. Returns
-/// the raw log bytes.
+/// Builds a jobs log with a rich history: one completed job (with a
+/// heartbeat), one job re-queued after a failed attempt, one mid-flight
+/// leased job, one queued job. Returns the raw log bytes.
 fn seeded_log(dir: &Path) -> Vec<u8> {
     let (mut q, _) = JobQueue::open(dir, QueueConfig::default()).unwrap();
     let done = q.submit(JobKind::Compaction, 0).unwrap();
     q.claim("w-done", 0).unwrap().unwrap();
-    q.checkpoint_step(done, "w-done", 0, 100).unwrap();
-    q.checkpoint_step(done, "w-done", 1, 200).unwrap();
+    q.heartbeat(done, "w-done", 1_000).unwrap();
     q.complete(done, "w-done").unwrap();
 
+    let retried = q.submit(JobKind::Compaction, 5).unwrap();
+    q.claim("w-retry", 5).unwrap().unwrap();
+    q.fail(retried, "w-retry", "transient", 6).unwrap();
+
     let midflight = q.submit(JobKind::Compaction, 10).unwrap();
-    q.claim("w-mid", 10).unwrap().unwrap();
+    assert_eq!(q.claim("w-mid", 10).unwrap().unwrap().id, midflight);
     q.heartbeat(midflight, "w-mid", 2_000).unwrap();
-    q.checkpoint_step(midflight, "w-mid", 4, 4_096).unwrap();
 
     let _queued = q.submit(JobKind::Compaction, 20).unwrap();
     q.sync().unwrap();
@@ -43,8 +43,7 @@ fn seeded_log(dir: &Path) -> Vec<u8> {
 }
 
 /// Recovery from a prefix of the log must be the replay of exactly that
-/// prefix: completed stays completed, the leased job is released once,
-/// resume never regresses past the last checkpoint *in the prefix*.
+/// prefix: completed stays completed, the leased job is released once.
 #[test]
 fn torn_at_every_byte_offset_recovers_a_valid_prefix() {
     let dir = scratch("torn");
@@ -108,8 +107,7 @@ fn torn_at_every_byte_offset_recovers_a_valid_prefix() {
         );
 
         // Drain the queue: each recovered runnable job is claimable once,
-        // resumes at (or after) its last checkpoint in the prefix, and a
-        // second pass finds nothing — no duplicated work.
+        // and a second pass finds nothing — no duplicated work.
         let mut leased = Vec::new();
         while let Some(l) = q.claim("post-crash", 1_000_000).unwrap() {
             leased.push(l);
@@ -120,19 +118,6 @@ fn torn_at_every_byte_offset_recovers_a_valid_prefix() {
             "cut {cut}: every queued job claimable exactly once"
         );
         assert!(q.claim("post-crash-2", 1_000_000).unwrap().is_none());
-        for l in &leased {
-            if let Some((step, cursor)) = l.resume {
-                // The checkpoint must exist in the replayed prefix.
-                let in_prefix = expected.records.iter().any(|r| {
-                    matches!(
-                        &r.op,
-                        medvid_jobs::JobOp::Step { job, step: s, cursor: c }
-                            if *job == l.id && *s == step && *c == cursor
-                    )
-                });
-                assert!(in_prefix, "cut {cut}: resume point {step}/{cursor} not durable");
-            }
-        }
         // After a clean full-log recovery the completed job is still done.
         if cut == full.len() {
             assert_eq!(stats.completed, 1);
@@ -230,4 +215,54 @@ fn corrupted_log_never_panics_recovery() {
             Ok(())
         },
     );
+}
+
+/// Logs from builds that queued ingest jobs may hold an `ingest`
+/// submission or a `step` checkpoint. Neither decodes any more: recovery
+/// must keep the records before the first such frame, report it as a
+/// typed `BadPayload` and truncate from there.
+#[test]
+fn retired_ingest_and_step_records_end_recovery_typed() {
+    let submitted = |seq: u64| {
+        let op = JobOp::Submitted {
+            job: seq,
+            kind: JobKind::Compaction,
+        };
+        encode_record(&JobLogRecord { seq, op }).unwrap()
+    };
+    for (i, payload) in [
+        r#"{"seq":2,"op":{"op":"submitted","job":2,"kind":{"type":"ingest","shots":[]}}}"#,
+        r#"{"seq":2,"op":{"op":"step","job":1,"step":0,"cursor":64}}"#,
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut bytes = JOB_MAGIC.to_vec();
+        bytes.extend_from_slice(&submitted(1));
+        let prefix = bytes.len() as u64;
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&crc32(payload.as_bytes()).to_be_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        bytes.extend_from_slice(&submitted(3));
+        let dir = scratch(&format!("retired-{i}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(JOB_LOG_FILE), &bytes).unwrap();
+
+        let (mut q, report) = JobQueue::open(&dir, QueueConfig::default()).unwrap();
+        assert_eq!(report.records, 1, "{payload}");
+        assert!(
+            matches!(report.fault, Some(TailFault::BadPayload { offset, .. }) if offset == prefix),
+            "{payload}: {:?}",
+            report.fault
+        );
+        assert_eq!(report.discarded_bytes, bytes.len() as u64 - prefix);
+        assert_eq!(q.claim("w", 0).unwrap().unwrap().id, 1);
+        assert!(q.claim("w", 0).unwrap().is_none());
+
+        // The log was cut at the retired frame and reopens clean.
+        drop(q);
+        let (_, report) = JobQueue::open(&dir, QueueConfig::default()).unwrap();
+        assert_eq!((report.fault, report.released), (None, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

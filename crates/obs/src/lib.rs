@@ -173,8 +173,6 @@ pub mod counters {
     pub const JOBS_FAILED: &str = "jobs_failed";
     /// Job attempts re-queued with backoff after an explicit failure.
     pub const JOBS_RETRIES: &str = "jobs_retries";
-    /// Job leases that expired and were handed to another worker.
-    pub const JOBS_LEASE_EXPIRIES: &str = "jobs_lease_expiries";
     /// Index compaction passes published by the background job worker.
     pub const JOBS_COMPACTIONS: &str = "jobs_compactions";
 }

@@ -65,9 +65,13 @@ fn per_thread_registries_merge_to_exact_totals() {
 
 /// Nested spans attribute child wall-clock time to the child stage; the
 /// parent keeps only its self time. Nesting is tracked per thread, so
-/// parallel workers do not see each other's stacks.
+/// parallel workers do not see each other's stacks. The child sleeps 25×
+/// longer than the parent's own sleeps, so sleep overshoot on a loaded
+/// host cannot lift the parent's self time past the child's total.
 #[test]
 fn nested_spans_attribute_child_time_across_threads() {
+    const PARENT_SLEEP: Duration = Duration::from_millis(1);
+    const CHILD_SLEEP: Duration = Duration::from_millis(50);
     let shared = Arc::new(MetricsRegistry::new());
     std::thread::scope(|scope| {
         for _ in 0..4 {
@@ -75,12 +79,12 @@ fn nested_spans_attribute_child_time_across_threads() {
             scope.spawn(move || {
                 let rec = Recorder::with_registry(shared);
                 let _mine = rec.span(Stage::EventRules);
-                std::thread::sleep(Duration::from_millis(3));
+                std::thread::sleep(PARENT_SLEEP);
                 {
                     let _audio = rec.span(Stage::AudioBic);
-                    std::thread::sleep(Duration::from_millis(12));
+                    std::thread::sleep(CHILD_SLEEP);
                 }
-                std::thread::sleep(Duration::from_millis(3));
+                std::thread::sleep(PARENT_SLEEP);
             });
         }
     });
@@ -88,8 +92,8 @@ fn nested_spans_attribute_child_time_across_threads() {
     let audio = shared.stage(Stage::AudioBic).unwrap();
     assert_eq!(rules.total.count(), 4);
     assert_eq!(audio.total.count(), 4);
-    // Every parent span slept ~6 ms outside the child; the child slept
-    // ~12 ms. Self time must exclude the child entirely.
+    // Every parent span slept at least 2 ms outside the child; the child
+    // slept at least 50 ms. Self time must exclude the child entirely.
     assert_eq!(
         rules.total.sum_nanos() - rules.self_time.sum_nanos(),
         audio.total.sum_nanos(),
@@ -101,6 +105,9 @@ fn nested_spans_attribute_child_time_across_threads() {
         rules.self_time.sum_nanos(),
         audio.total.sum_nanos()
     );
+    // `sleep` never returns early, so each span is at least its sleeps.
+    assert!(audio.total.sum_nanos() >= 4 * CHILD_SLEEP.as_nanos() as u64);
+    assert!(rules.self_time.sum_nanos() >= 4 * 2 * PARENT_SLEEP.as_nanos() as u64);
 }
 
 /// A labelled mining report survives a serde_json round trip bit-for-bit.

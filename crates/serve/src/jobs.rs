@@ -1,42 +1,26 @@
 //! The server-side job worker: executes queued background work against
-//! the [`DbService`], checkpointing progress into the durable job queue
-//! so a crashed worker's successor resumes instead of restarting.
+//! the [`DbService`] under the durable job queue's TTL leases, so a
+//! crashed worker's job is handed to a successor.
 //!
-//! Two job kinds exist today:
-//!
-//! * **Ingest** — index a batch of mined shots in chunks of
-//!   [`JobsConfig::ingest_chunk`], heartbeating and writing one step
-//!   checkpoint per chunk. A chunk that was already applied by a crashed
-//!   predecessor (its shots are indexed, but the checkpoint after them
-//!   never made it to the log) surfaces as duplicate-shot rejections; the
-//!   worker then re-applies that chunk shot by shot, skipping the
-//!   duplicates, so re-delivery is exactly-once in effect.
-//! * **Compaction** — [`DbService::compact`]: re-run the full PCS/merge
-//!   fit over the drifted index off-lock and publish the rebuilt
-//!   hierarchy as one epoch bump. The worker auto-submits one whenever
-//!   the serving index's drift passes [`JobsConfig::drift_threshold`]
-//!   and no compaction is already queued or running.
+//! One job kind exists: **compaction** — [`DbService::compact`] re-runs
+//! the full PCS/merge fit over the drifted index off-lock and publishes
+//! the rebuilt hierarchy as one epoch bump. The worker auto-submits one
+//! whenever the serving index's drift passes
+//! [`JobsConfig::drift_threshold`] and no compaction is already queued or
+//! running. A successor re-runs a dead worker's compaction from the
+//! start; that is safe because a compaction re-fits the same records and
+//! changes none of them.
 //!
 //! The worker core ([`run_one`]) is a plain function over an injectable
-//! clock and an optional kill switch ([`JobWorkerCtx::kill_after_steps`]),
-//! so the chaos suite can murder a worker mid-job deterministically and
-//! prove the TTL-lease handover resumes from the last checkpoint.
+//! clock, so the chaos suite can expire leases without sleeping.
 
-use crate::protocol::{IngestShot, JobsStatus, WireJobKind, WireJobStatus};
-use crate::service::{DbService, IngestError};
-use medvid_index::RecordError;
-use medvid_jobs::{BackoffPolicy, JobId, JobKind, JobQueue, JobStatusView, LeasedJob};
+use crate::protocol::{JobsStatus, WireJobStatus};
+use crate::service::DbService;
+use medvid_jobs::{BackoffPolicy, JobId, JobKind, JobQueue, JobStatusView};
 use medvid_obs::{counters, values, Recorder};
-use medvid_store::StoredShot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Version stamped on submitted jobs. Bump when the mining pipeline's
-/// intermediate representation changes shape: recovery then discards
-/// step checkpoints written by the older pipeline instead of resuming
-/// into incompatible state.
-pub const PIPELINE_VERSION: u32 = 1;
 
 /// Job-worker tuning.
 #[derive(Debug, Clone)]
@@ -50,8 +34,6 @@ pub struct JobsConfig {
     pub drift_threshold: usize,
     /// Retry budget and backoff schedule for failed jobs.
     pub backoff: BackoffPolicy,
-    /// Shots applied per step checkpoint of an ingest job.
-    pub ingest_chunk: usize,
 }
 
 impl Default for JobsConfig {
@@ -61,7 +43,6 @@ impl Default for JobsConfig {
             poll: Duration::from_millis(50),
             drift_threshold: 1024,
             backoff: BackoffPolicy::default(),
-            ingest_chunk: 256,
         }
     }
 }
@@ -102,25 +83,6 @@ impl JobsRuntime {
     }
 }
 
-/// Converts a wire-level submission into the queue's durable job kind.
-pub fn wire_to_kind(kind: WireJobKind) -> JobKind {
-    match kind {
-        WireJobKind::Compaction => JobKind::Compaction,
-        WireJobKind::Ingest { shots } => JobKind::Ingest {
-            shots: shots
-                .iter()
-                .map(|s| StoredShot {
-                    video: s.video,
-                    shot: s.shot,
-                    features: s.features.clone(),
-                    event: s.event,
-                    scene_node: s.scene_node,
-                })
-                .collect(),
-        },
-    }
-}
-
 /// Projects a queue-side status view onto the wire schema.
 pub fn view_to_wire(view: &JobStatusView) -> WireJobStatus {
     WireJobStatus {
@@ -128,26 +90,12 @@ pub fn view_to_wire(view: &JobStatusView) -> WireJobStatus {
         kind: view.kind.clone(),
         state: view.state.clone(),
         attempts: view.attempts,
-        step: view.step,
-        cursor: view.cursor,
         error: view.error.clone(),
-        pipeline_version: view.pipeline_version,
-    }
-}
-
-fn to_ingest(s: &StoredShot) -> IngestShot {
-    IngestShot {
-        video: s.video,
-        shot: s.shot,
-        features: s.features.clone(),
-        event: s.event,
-        scene_node: s.scene_node,
     }
 }
 
 /// Everything one worker pass needs. Borrowed so tests can drive several
-/// workers over one service/queue pair with different clocks and kill
-/// switches.
+/// workers over one service/queue pair with different clocks.
 pub struct JobWorkerCtx<'a> {
     /// The service jobs execute against.
     pub service: &'a DbService,
@@ -158,12 +106,6 @@ pub struct JobWorkerCtx<'a> {
     /// Millisecond clock (injectable: chaos tests advance it past lease
     /// TTLs without sleeping).
     pub clock: &'a (dyn Fn() -> u64 + Sync),
-    /// Shots applied per step checkpoint of an ingest job.
-    pub ingest_chunk: usize,
-    /// Test hook: abandon the job without failing it after this many step
-    /// checkpoints — exactly what a crashed worker thread looks like to
-    /// the queue (the lease simply stops being serviced).
-    pub kill_after_steps: Option<u32>,
     /// Counter sink.
     pub recorder: &'a Recorder,
     /// Compaction-pass counter, shared with the metrics snapshot.
@@ -171,23 +113,19 @@ pub struct JobWorkerCtx<'a> {
 }
 
 /// Claims and runs at most one job. Returns the claimed job's id, or
-/// `None` when nothing was runnable. A worker killed by
-/// [`JobWorkerCtx::kill_after_steps`] also returns the id — the job is
-/// left leased, to be taken over after the TTL.
+/// `None` when nothing was runnable.
 pub fn run_one(ctx: &JobWorkerCtx) -> Option<JobId> {
     let lease = match ctx.queue.lock().claim(ctx.worker, (ctx.clock)()) {
         Ok(l) => l?,
         Err(_) => return None,
     };
-    let id = lease.id;
-    match &lease.kind {
-        JobKind::Compaction => run_compaction(ctx, &lease),
-        JobKind::Ingest { shots } => run_ingest(ctx, &lease, shots),
+    match lease.kind {
+        JobKind::Compaction => run_compaction(ctx, lease.id),
     }
-    Some(id)
+    Some(lease.id)
 }
 
-fn run_compaction(ctx: &JobWorkerCtx, lease: &LeasedJob) {
+fn run_compaction(ctx: &JobWorkerCtx, id: JobId) {
     match ctx.service.compact() {
         Ok(outcome) => {
             if outcome.is_some() {
@@ -197,79 +135,9 @@ fn run_compaction(ctx: &JobWorkerCtx, lease: &LeasedJob) {
             // `None` (no drift, or a racing restore) completes too: the
             // job's goal — no un-folded drift from before its submission —
             // holds either way.
-            finish(ctx, lease.id, Ok(()));
+            finish(ctx, id, Ok(()));
         }
-        Err(e) => finish(ctx, lease.id, Err(format!("compaction checkpoint: {e}"))),
-    }
-}
-
-fn run_ingest(ctx: &JobWorkerCtx, lease: &LeasedJob, shots: &[StoredShot]) {
-    let chunk = ctx.ingest_chunk.max(1);
-    // Resume after the last durable checkpoint: `cursor` shots are known
-    // applied AND checkpointed; anything past that re-applies below.
-    let start = lease.resume.map(|(_, c)| c as usize).unwrap_or(0);
-    let mut step = lease.resume.map(|(s, _)| s + 1).unwrap_or(0);
-    let mut applied = start.min(shots.len());
-    let mut steps_done = 0u32;
-    while applied < shots.len() {
-        let end = (applied + chunk).min(shots.len());
-        let batch: Vec<IngestShot> = shots[applied..end].iter().map(to_ingest).collect();
-        if let Err(e) = apply_chunk(ctx.service, &batch) {
-            finish(ctx, lease.id, Err(e));
-            return;
-        }
-        applied = end;
-        if ctx.kill_after_steps.is_some_and(|k| steps_done >= k) {
-            // Simulated crash at the nastiest instant: the chunk's shots
-            // are in the index, but the checkpoint recording them never
-            // reaches the log. The lease is left intact, exactly like a
-            // worker thread that died.
-            return;
-        }
-        let mut queue = ctx.queue.lock();
-        let now = (ctx.clock)();
-        if queue.heartbeat(lease.id, ctx.worker, now).is_err() {
-            // Lease lost (expired and re-claimed): abandon silently — the
-            // new holder owns the job now, and every shot we applied is
-            // visible to it as skippable duplicates.
-            return;
-        }
-        if queue
-            .checkpoint_step(lease.id, ctx.worker, step, applied as u64)
-            .is_err()
-        {
-            return;
-        }
-        step += 1;
-        steps_done += 1;
-    }
-    finish(ctx, lease.id, Ok(()));
-}
-
-/// Applies one chunk through the service. A duplicate-shot rejection
-/// means a crashed predecessor already applied some of this chunk (the
-/// batch is all-or-nothing, so nothing else from it landed); re-apply
-/// shot by shot, skipping exactly the duplicates.
-fn apply_chunk(service: &DbService, batch: &[IngestShot]) -> Result<(), String> {
-    match service.ingest(batch) {
-        Ok(_) => Ok(()),
-        Err(IngestError::Record {
-            error: RecordError::DuplicateShot(_),
-            ..
-        }) => {
-            for shot in batch {
-                match service.ingest(std::slice::from_ref(shot)) {
-                    Ok(_)
-                    | Err(IngestError::Record {
-                        error: RecordError::DuplicateShot(_),
-                        ..
-                    }) => {}
-                    Err(e) => return Err(e.to_string()),
-                }
-            }
-            Ok(())
-        }
-        Err(e) => Err(e.to_string()),
+        Err(e) => finish(ctx, id, Err(format!("compaction checkpoint: {e}"))),
     }
 }
 
@@ -309,11 +177,9 @@ pub fn maybe_submit_compaction(
         return None;
     }
     let mut queue = queue.lock();
-    let pending = queue
-        .list()
-        .iter()
-        .any(|j| j.kind == "compaction" && (j.state == "queued" || j.state == "leased"));
-    if pending {
+    // Compaction is the only job kind: any unfinished job is one.
+    let stats = queue.stats();
+    if stats.queued + stats.leased > 0 {
         return None;
     }
     match queue.submit(JobKind::Compaction, now_ms) {
@@ -336,21 +202,32 @@ pub fn sample_gauges(service: &DbService, queue: &Mutex<JobQueue>, recorder: &Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::IngestShot;
     use medvid_index::VideoDatabase;
     use medvid_jobs::QueueConfig;
     use medvid_types::{EventKind, ShotId, VideoId};
 
-    fn stored(i: usize, db: &VideoDatabase) -> StoredShot {
+    fn shot(i: usize, db: &VideoDatabase) -> IngestShot {
         let scenes = db.hierarchy().scene_nodes();
         let mut f = vec![0.0f32; 266];
         f[i % 266] = 1.0;
-        StoredShot {
+        IngestShot {
             video: VideoId(7),
             shot: ShotId(i),
             features: f,
             event: EventKind::Dialog,
             scene_node: scenes[i % scenes.len()],
         }
+    }
+
+    /// A service with `n` shots ingested: the first two build the index,
+    /// the rest are appended as drift.
+    fn drifted(n: usize) -> DbService {
+        let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
+        let shots: Vec<_> = (0..n).map(|i| shot(i, &service.snapshot().db)).collect();
+        service.ingest(&shots[..2]).unwrap();
+        service.ingest(&shots[2..]).unwrap();
+        service
     }
 
     fn ctx<'a>(
@@ -360,85 +237,48 @@ mod tests {
         clock: &'a (dyn Fn() -> u64 + Sync),
         recorder: &'a Recorder,
         compactions: &'a AtomicU64,
-        kill_after_steps: Option<u32>,
     ) -> JobWorkerCtx<'a> {
         JobWorkerCtx {
             service,
             queue,
             worker,
             clock,
-            ingest_chunk: 4,
-            kill_after_steps,
             recorder,
             compactions,
         }
     }
 
     #[test]
-    fn ingest_job_runs_in_checkpointed_chunks() {
-        let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
-        let queue = Mutex::new(JobQueue::in_memory(QueueConfig::default()));
-        let shots: Vec<_> = (0..10).map(|i| stored(i, &service.snapshot().db)).collect();
-        let id = queue
-            .lock()
-            .submit(JobKind::Ingest { shots }, 0)
-            .unwrap();
-        let recorder = Recorder::disabled();
-        let compactions = AtomicU64::new(0);
-        let clock = || 0u64;
-        let c = ctx(&service, &queue, "w", &clock, &recorder, &compactions, None);
-        assert_eq!(run_one(&c), Some(id));
-        let view = queue.lock().status(id).unwrap();
-        assert_eq!(view.state, "completed");
-        assert_eq!(view.cursor, Some(10), "final checkpoint covers the batch");
-        assert_eq!(service.snapshot().db.len(), 10);
-        // Chunked at 4: checkpoints at 4, 8, 10 → last step index 2.
-        assert_eq!(view.step, Some(2));
-    }
-
-    #[test]
     fn killed_worker_leaves_the_lease_for_a_successor_to_resume() {
-        let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
+        let service = drifted(8);
         let queue = Mutex::new(JobQueue::in_memory(QueueConfig::default()));
-        let shots: Vec<_> = (0..12).map(|i| stored(i, &service.snapshot().db)).collect();
-        let id = queue
-            .lock()
-            .submit(JobKind::Ingest { shots }, 0)
-            .unwrap();
+        let id = queue.lock().submit(JobKind::Compaction, 0).unwrap();
+        // Worker A claims the job and dies: its lease is never serviced.
+        queue.lock().claim("a", 0).unwrap().unwrap();
         let recorder = Recorder::disabled();
         let compactions = AtomicU64::new(0);
 
-        // Worker A dies after one checkpoint (4 shots applied + logged).
-        let clock_a = || 0u64;
-        let a = ctx(&service, &queue, "a", &clock_a, &recorder, &compactions, Some(1));
-        assert_eq!(run_one(&a), Some(id));
-        assert_eq!(queue.lock().status(id).unwrap().state, "leased");
-        assert_eq!(service.snapshot().db.len(), 8, "a applied 2 chunks, checkpointed 1");
+        // Inside the TTL nobody else may run it.
+        let early = || 1_000u64;
+        let b = ctx(&service, &queue, "b", &early, &recorder, &compactions);
+        assert_eq!(run_one(&b), None);
+        assert_eq!(service.drift(), 6);
 
-        // Worker B claims after the TTL and resumes from the checkpoint;
-        // the re-applied chunk's duplicates are skipped shot by shot.
-        let clock_b = || 10_000u64;
-        let b = ctx(&service, &queue, "b", &clock_b, &recorder, &compactions, None);
+        // Past the TTL, worker B takes the lease over and finishes the job.
+        let late = || 10_000u64;
+        let b = ctx(&service, &queue, "b", &late, &recorder, &compactions);
         assert_eq!(run_one(&b), Some(id));
-        let view = queue.lock().status(id).unwrap();
-        assert_eq!(view.state, "completed");
-        assert_eq!(service.snapshot().db.len(), 12, "every shot exactly once");
+        assert_eq!(queue.lock().status(id).unwrap().state, "completed");
+        assert_eq!(queue.lock().stats().lease_expiries, 1);
+        assert_eq!(service.drift(), 0);
+        assert_eq!(service.snapshot().db.len(), 8);
     }
 
     #[test]
     fn drift_threshold_auto_submits_one_compaction() {
-        let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
+        let service = drifted(8);
         let queue = Mutex::new(JobQueue::in_memory(QueueConfig::default()));
         let recorder = Recorder::disabled();
-        // Build, then append past the threshold.
-        let first: Vec<_> = (0..2)
-            .map(|i| to_ingest(&stored(i, &service.snapshot().db)))
-            .collect();
-        service.ingest(&first).unwrap();
-        let more: Vec<_> = (2..8)
-            .map(|i| to_ingest(&stored(i, &service.snapshot().db)))
-            .collect();
-        service.ingest(&more).unwrap();
         assert_eq!(service.drift(), 6);
 
         assert!(maybe_submit_compaction(&service, &queue, 4, 0, &recorder).is_some());
@@ -447,7 +287,7 @@ mod tests {
 
         let compactions = AtomicU64::new(0);
         let clock = || 0u64;
-        let c = ctx(&service, &queue, "w", &clock, &recorder, &compactions, None);
+        let c = ctx(&service, &queue, "w", &clock, &recorder, &compactions);
         run_one(&c).unwrap();
         assert_eq!(service.drift(), 0, "compaction folded the drift");
         assert_eq!(compactions.load(Ordering::Relaxed), 1);
@@ -457,28 +297,30 @@ mod tests {
 
     #[test]
     fn failing_job_is_retried_then_parked() {
-        // An ingest whose shots reference a bogus scene node fails every
-        // attempt; the queue retries it with backoff, then parks it.
+        // A job whose every attempt fails is retried with backoff, then
+        // parked; each outcome is counted.
         let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
         let queue = Mutex::new(JobQueue::in_memory(QueueConfig::default()));
-        let mut bad = stored(0, &service.snapshot().db);
-        bad.scene_node = service.snapshot().db.hierarchy().root();
-        let id = queue
-            .lock()
-            .submit(JobKind::Ingest { shots: vec![bad] }, 0)
-            .unwrap();
-        let recorder = Recorder::disabled();
+        let id = queue.lock().submit(JobKind::Compaction, 0).unwrap();
+        let recorder = Recorder::new();
         let compactions = AtomicU64::new(0);
+        let counter = |name| recorder.registry().unwrap().counter(name);
         let max = queue.lock().config().backoff.max_attempts;
         for round in 0..max {
             let now = u64::from(round) * 1_000_000;
             let clock = move || now;
-            let c = ctx(&service, &queue, "w", &clock, &recorder, &compactions, None);
-            assert_eq!(run_one(&c), Some(id), "round {round} claims the job");
+            let c = ctx(&service, &queue, "w", &clock, &recorder, &compactions);
+            let lease = queue.lock().claim("w", now).unwrap().unwrap();
+            assert_eq!(lease.id, id, "round {round} claims the job");
+            finish(&c, id, Err("disk full".to_string()));
+            // Every attempt but the last is retried; the last parks it.
+            assert_eq!(counter(counters::JOBS_FAILED), u64::from(round + 1 == max));
         }
         let view = queue.lock().status(id).unwrap();
         assert_eq!(view.state, "failed");
-        assert!(view.error.unwrap().contains("not a scene node"));
-        assert_eq!(service.snapshot().db.len(), 0, "nothing ever landed");
+        assert_eq!(view.error.as_deref(), Some("disk full"));
+        assert_eq!(counter(counters::JOBS_RETRIES), u64::from(max - 1));
+        assert_eq!(counter(counters::JOBS_FAILED), 1);
+        assert_eq!(counter(counters::JOBS_COMPLETED), 0);
     }
 }

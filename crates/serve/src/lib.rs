@@ -55,7 +55,7 @@ pub mod trace;
 pub use cache::{CachedResult, QueryKey, ResultCache};
 pub use client::Client;
 pub use executor::Executor;
-pub use jobs::{JobWorkerCtx, JobsConfig, JobsRuntime, PIPELINE_VERSION};
+pub use jobs::{JobWorkerCtx, JobsConfig, JobsRuntime};
 pub use live::LiveMetrics;
 pub use protocol::{
     CacheStats, ErrorKind, ExecutorStats, Hit, IngestShot, JobsStatus, KnnKernelStats,

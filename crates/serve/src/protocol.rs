@@ -99,20 +99,9 @@ pub struct QueryRequest {
     pub trace: bool,
 }
 
-/// One shot to ingest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IngestShot {
-    /// Owning video.
-    pub video: VideoId,
-    /// Shot within that video.
-    pub shot: ShotId,
-    /// Concatenated feature vector.
-    pub features: Vec<f32>,
-    /// Mined event of the owning scene.
-    pub event: EventKind,
-    /// Scene-level concept node to index under.
-    pub scene_node: NodeId,
-}
+/// One shot to ingest: the store's WAL record itself, so an ingest batch
+/// is logged as it arrives.
+pub use medvid_store::StoredShot as IngestShot;
 
 /// A client request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -221,11 +210,6 @@ pub enum WireJobKind {
     /// Re-run the full PCS/merge fit over the drifted index and publish
     /// the rebuilt hierarchy as one epoch bump.
     Compaction,
-    /// Index a batch of mined shots as checkpointed background work.
-    Ingest {
-        /// The shots to index.
-        shots: Vec<IngestShot>,
-    },
 }
 
 /// Point-in-time status of one background job on the wire.
@@ -233,23 +217,15 @@ pub enum WireJobKind {
 pub struct WireJobStatus {
     /// Queue-assigned job id.
     pub id: u64,
-    /// Kind name (`compaction` / `ingest`).
+    /// Kind name (`compaction`).
     pub kind: String,
     /// Phase name (`queued` / `leased` / `completed` / `failed`).
     pub state: String,
     /// Leases taken so far.
     pub attempts: u32,
-    /// Last checkpointed step, when any.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub step: Option<u32>,
-    /// Last checkpointed progress cursor, when any.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub cursor: Option<u64>,
     /// Most recent error, when any.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
-    /// Pipeline version the job was submitted under.
-    pub pipeline_version: u32,
 }
 
 /// Machine-readable error category.
@@ -1139,13 +1115,10 @@ mod tests {
         let resp = Response::Jobs {
             jobs: vec![WireJobStatus {
                 id: 1,
-                kind: "ingest".to_string(),
-                state: "leased".to_string(),
+                kind: "compaction".to_string(),
+                state: "failed".to_string(),
                 attempts: 2,
-                step: Some(3),
-                cursor: Some(512),
-                error: None,
-                pipeline_version: 1,
+                error: Some("disk full".to_string()),
             }],
         };
         let bytes = serde_json::to_vec(&resp).unwrap();
@@ -1153,8 +1126,8 @@ mod tests {
         match back {
             Response::Jobs { jobs } => {
                 assert_eq!(jobs.len(), 1);
-                assert_eq!(jobs[0].cursor, Some(512));
-                assert_eq!(jobs[0].error, None);
+                assert_eq!(jobs[0].attempts, 2);
+                assert_eq!(jobs[0].error.as_deref(), Some("disk full"));
             }
             other => panic!("expected jobs, got {other:?}"),
         }
@@ -1189,6 +1162,44 @@ mod tests {
         assert!(!text.contains("\"jobs\""), "absent jobs must not serialise: {text}");
         let back: MetricsSnapshot = serde_json::from_slice(text.as_bytes()).unwrap();
         assert_eq!(back.jobs, None);
+    }
+
+    /// Clients and servers of every build must agree on the ingest frame:
+    /// pins the exact bytes of one `Request::Ingest` frame with one shot.
+    #[test]
+    fn ingest_frame_bytes_are_pinned() {
+        if !serde_runtime_available() {
+            return;
+        }
+        let req = Request::Ingest {
+            shots: vec![IngestShot {
+                video: VideoId(3),
+                shot: ShotId(4),
+                features: vec![0.5, -1.25, 0.0],
+                event: EventKind::Dialog,
+                scene_node: NodeId(7),
+            }],
+            trace_id: None,
+            trace: false,
+            topology_epoch: None,
+        };
+        let mut frame = Vec::new();
+        send_message(&mut frame, &req).unwrap();
+        let body = r#"{"type":"ingest","shots":[{"video":3,"shot":4,"features":[0.5,-1.25,0.0],"event":"Dialog","scene_node":7}],"trace":false}"#;
+        assert_eq!(frame[..4], (body.len() as u32).to_be_bytes());
+        assert_eq!(std::str::from_utf8(&frame[4..]).unwrap(), body);
+        let back: Request = recv_message(&mut std::io::Cursor::new(frame)).unwrap();
+        match back {
+            Request::Ingest { shots, .. } => assert_eq!(shots[0].features, [0.5, -1.25, 0.0]),
+            other => panic!("expected ingest, got {other:?}"),
+        }
+    }
+
+    /// The wire's ingest payload is the store's WAL record: this compiles
+    /// only while the two are one type.
+    #[allow(dead_code)]
+    fn ingest_shot_is_the_stored_shot(shot: IngestShot) -> medvid_store::StoredShot {
+        shot
     }
 
     #[test]

@@ -15,10 +15,10 @@ use crate::jobs::{self, JobsConfig, JobsRuntime};
 use crate::live::{LiveMetrics, DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_THRESHOLD};
 use crate::protocol::{
     self, ErrorKind, Hit, KnnKernelStats, MetricsSnapshot, QueryRequest, ReplicationStatus,
-    Request, Response, WireStrategy, PROTOCOL_VERSION,
+    Request, Response, WireJobKind, WireStrategy, PROTOCOL_VERSION,
 };
 use crate::service::{DbService, IngestError};
-use medvid_jobs::{JobQueue, QueueConfig};
+use medvid_jobs::{JobKind, JobQueue, QueueConfig};
 use crate::trace::{TraceCtx, STAGE_ADMISSION, STAGE_CACHE, STAGE_EXECUTE, STAGE_QUEUE_WAIT};
 use medvid_index::{non_finite_index, Clearance, PlannedPath, Strategy, UserContext, VideoDatabase};
 use medvid_obs::{counters, Recorder, Stage};
@@ -74,7 +74,7 @@ pub struct ServerConfig {
     /// never serve one path's cached cost profile as another's.
     pub default_strategy: WireStrategy,
     /// Background job-queue tuning (lease TTL, retry backoff, compaction
-    /// drift threshold, ingest chunking).
+    /// drift threshold).
     pub jobs: JobsConfig,
 }
 
@@ -325,12 +325,10 @@ fn spawn_service(
     let queue_config = QueueConfig {
         lease_ttl_ms: config.jobs.lease_ttl.as_millis() as u64,
         backoff: config.jobs.backoff,
-        pipeline_version: jobs::PIPELINE_VERSION,
         fsync: medvid_store::FsyncPolicy::Always,
     };
     // Durable servers put the jobs log next to the store's WAL so queued
-    // work (and mid-job checkpoints) survive a restart; in-memory servers
-    // get a volatile queue.
+    // work survives a restart; in-memory servers get a volatile queue.
     let queue = match jobs_dir {
         Some(dir) => JobQueue::open(dir, queue_config)
             .map_err(|e| io::Error::other(format!("jobs log: {e}")))?
@@ -408,8 +406,6 @@ fn jobs_loop(shared: &Arc<Shared>) {
         queue: &shared.jobs.queue,
         worker: &worker,
         clock: &unix_ms,
-        ingest_chunk: shared.config.jobs.ingest_chunk,
-        kill_after_steps: None,
         recorder: &shared.recorder,
         compactions: &shared.jobs.compactions,
     };
@@ -574,12 +570,9 @@ fn shape_of(request: &Request) -> String {
         Request::FetchLog { from_seq, .. } => format!("fetch_log from_seq={from_seq}"),
         Request::Fence { epoch } => format!("fence epoch={epoch}"),
         Request::Promote { topology_epoch } => format!("promote epoch={topology_epoch}"),
-        Request::SubmitJob { kind } => match kind {
-            protocol::WireJobKind::Compaction => "submit_job kind=compaction".to_string(),
-            protocol::WireJobKind::Ingest { shots } => {
-                format!("submit_job kind=ingest shots={}", shots.len())
-            }
-        },
+        Request::SubmitJob {
+            kind: WireJobKind::Compaction,
+        } => "submit_job kind=compaction".to_string(),
         Request::JobStatus { id: Some(id) } => format!("job_status id={id}"),
         Request::JobStatus { id: None } => "job_status".to_string(),
     }
@@ -817,9 +810,11 @@ fn dispatch_plain(request: Request, shared: &Arc<Shared>) -> Response {
             }
             Response::Fenced { epoch }
         }
-        Request::SubmitJob { kind } => {
-            let job = jobs::wire_to_kind(kind);
-            match shared.jobs.queue.lock().submit(job, unix_ms()) {
+        Request::SubmitJob {
+            kind: WireJobKind::Compaction,
+        } => {
+            let mut queue = shared.jobs.queue.lock();
+            match queue.submit(JobKind::Compaction, unix_ms()) {
                 Ok(id) => {
                     shared.recorder.incr(counters::JOBS_SUBMITTED, 1);
                     Response::JobSubmitted { id }

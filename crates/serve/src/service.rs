@@ -24,7 +24,7 @@ use crate::trace::{
 };
 use medvid_index::{RecordError, VideoDatabase};
 use medvid_obs::{counters, Recorder};
-use medvid_store::{CheckpointStats, Store, StoreError, StoreStatus, StoredShot, WalOp};
+use medvid_store::{CheckpointStats, Store, StoreError, StoreStatus, WalOp};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
@@ -220,11 +220,9 @@ impl DbService {
         let mut last_seq = None;
         if let Some(store) = writer.as_mut() {
             let op = match shots {
-                [one] => WalOp::IngestShot {
-                    shot: to_stored(one),
-                },
+                [one] => WalOp::IngestShot { shot: one.clone() },
                 many => WalOp::IngestVideo {
-                    shots: many.iter().map(to_stored).collect(),
+                    shots: many.to_vec(),
                 },
             };
             let stats = store.append(&[op]).map_err(IngestError::Store)?;
@@ -415,16 +413,6 @@ impl DbService {
             Some(store) => store.log_suffix(from_seq, max_records).map(Some),
             None => Ok(None),
         }
-    }
-}
-
-fn to_stored(s: &IngestShot) -> StoredShot {
-    StoredShot {
-        video: s.video,
-        shot: s.shot,
-        features: s.features.clone(),
-        event: s.event,
-        scene_node: s.scene_node,
     }
 }
 

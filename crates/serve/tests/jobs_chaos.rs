@@ -1,31 +1,26 @@
-//! Chaos suite for the durable job queue + worker: workers are murdered
-//! mid-job at seeded steps, leases expire, successors take over — and
-//! every acked record must land exactly once.
+//! Chaos suite for the durable job queue + worker: workers die holding a
+//! compaction job's lease, leases expire, a successor takes over — and the
+//! index must end up as if one worker had run the job once.
 //!
-//! Each case opens a **durable** queue on disk, submits one ingest job,
-//! then runs a seeded sequence of doomed workers. A doomed worker applies
-//! some chunks and vanishes at the nastiest instant (chunk indexed,
-//! checkpoint not yet durable — see [`medvid_serve::JobWorkerCtx`]'s
-//! `kill_after_steps`). The fake clock then jumps past the lease TTL and
-//! the next worker claims the expired lease, resuming from the last
-//! checkpoint on the log. After a surviving worker finishes, the test
-//! asserts:
-//!
-//! * no lost records — every shot of the job is in the index;
-//! * no duplicated effects — the index holds exactly `n` records, with
-//!   the chunk-replay dedup absorbing re-deliveries;
-//! * the lease-expiry counter saw every takeover;
-//! * the finished state survives closing and reopening the jobs log.
+//! Each case ingests seeded batches into a [`DbService`] (the batches
+//! after the first are drift), opens a **durable** queue on disk and
+//! submits one compaction job. Each doomed worker claims the job straight
+//! from the queue and never completes it — what a dead worker thread
+//! looks like to the queue — and may first run the compaction itself
+//! (published, never completed). The fake clock then jumps past the
+//! lease TTL. After the survivor's [`jobs::run_one`] the suite asserts
+//! zero drift, exactly the ingested records, flat answers equal to a
+//! from-scratch build, one lease expiry per takeover, one completed job,
+//! and that the completed state survives reopening the jobs log.
 //!
 //! Failures print a one-line `MEDVID_TESTKIT_SEED=…` reproduction;
 //! `scripts/check.sh --jobs-chaos` drives this file under a rotating
 //! seed.
 
-use medvid_index::VideoDatabase;
+use medvid_index::{ShotRef, Strategy, VideoDatabase};
 use medvid_jobs::{JobKind, JobQueue, QueueConfig};
 use medvid_obs::Recorder;
-use medvid_serve::{jobs, DbService, JobWorkerCtx};
-use medvid_store::StoredShot;
+use medvid_serve::{jobs, DbService, IngestShot, JobWorkerCtx};
 use medvid_testkit::{forall, require, NoShrink, TkRng};
 use medvid_types::{EventKind, ShotId, VideoId};
 use parking_lot::Mutex;
@@ -34,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const DIMS: usize = 266;
 const LEASE_TTL_MS: u64 = 5_000;
+const LIMIT: usize = 5;
 
 fn scratch(tag: u64) -> PathBuf {
     let dir =
@@ -43,129 +39,149 @@ fn scratch(tag: u64) -> PathBuf {
     dir
 }
 
-fn stored(i: usize, db: &VideoDatabase) -> StoredShot {
-    let scenes = db.hierarchy().scene_nodes();
-    let mut f = vec![0.0f32; DIMS];
-    f[i % DIMS] = 1.0;
-    f[(i * 31) % DIMS] = 0.5;
-    StoredShot {
-        video: VideoId(11),
-        shot: ShotId(i),
-        features: f,
-        event: EventKind::DETERMINATE[i % 3],
-        scene_node: scenes[i % scenes.len()],
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Chaos {
     /// Unique per-case scratch-dir tag.
     tag: u64,
-    /// Shots in the single ingest job.
-    n: usize,
-    /// Shots per step checkpoint.
-    chunk: usize,
-    /// For each doomed worker: how many checkpoints it writes before it
-    /// vanishes (the chunk after the last checkpoint is applied but never
-    /// recorded).
-    kills: Vec<u32>,
+    /// Every shot, in ingest order.
+    shots: Vec<IngestShot>,
+    /// Batch sizes partitioning `shots`; at least two, so the batches
+    /// after the first leave drift for the compaction to fold.
+    batches: Vec<usize>,
+    /// One entry per doomed worker: whether it runs the compaction before
+    /// it vanishes (published, never completed).
+    doomed: Vec<bool>,
+    /// Probe vectors the final index must answer like a fresh build.
+    probes: Vec<Vec<f32>>,
 }
 
 fn gen_chaos(rng: &mut TkRng) -> Chaos {
+    let scenes = VideoDatabase::medical().hierarchy().scene_nodes();
     let n = rng.usize_in(6, 30);
-    let chunk = rng.usize_in(1, 5);
-    let steps = n.div_ceil(chunk) as u32;
+    let shots = (0..n)
+        .map(|i| IngestShot {
+            video: VideoId(rng.usize_in(1, 3)),
+            shot: ShotId(i),
+            features: (0..DIMS).map(|_| rng.f32_in(0.0, 1.0)).collect(),
+            event: EventKind::DETERMINATE[rng.usize_in(0, 2)],
+            scene_node: *rng.pick(&scenes),
+        })
+        .collect();
+    let mut batches = vec![rng.usize_in(1, n - 1)];
+    let mut left = n - batches[0];
+    while left > 0 {
+        let take = rng.usize_in(1, left.min(7));
+        batches.push(take);
+        left -= take;
+    }
     // Every takeover consumes one attempt from the retry budget
     // (max_attempts = 4 by default), so at most 3 workers may die and
-    // still leave the final one a claim.
-    let doomed = rng.usize_in(1, 3);
-    let kills = (0..doomed)
-        .map(|_| rng.u64_in(0, u64::from(steps.saturating_sub(1))) as u32)
+    // still leave the survivor a claim.
+    let doomed = (0..rng.usize_in(1, 3)).map(|_| rng.bool_p(0.5)).collect();
+    let probes = (0..3)
+        .map(|_| (0..DIMS).map(|_| rng.f32_in(0.0, 1.0)).collect())
         .collect();
     Chaos {
         tag: rng.next_u64(),
-        n,
-        chunk,
-        kills,
+        shots,
+        batches,
+        doomed,
+        probes,
     }
+}
+
+/// Flat top-[`LIMIT`] answer for `probe` as `(video, shot, distance
+/// bits)` — the bit-exact comparison key.
+fn flat_answer(db: &VideoDatabase, probe: &[f32]) -> Vec<(usize, usize, u32)> {
+    let (hits, _) = db
+        .query()
+        .similar_to(probe.to_vec())
+        .limit(LIMIT)
+        .strategy(Strategy::Flat)
+        .try_run()
+        .expect("probe vectors are finite and correctly sized");
+    hits.iter()
+        .map(|h| (h.shot.video.0, h.shot.shot.0, h.distance.to_bits()))
+        .collect()
+}
+
+fn fresh_build(shots: &[IngestShot]) -> VideoDatabase {
+    let mut db = VideoDatabase::medical();
+    for s in shots {
+        let shot = ShotRef {
+            video: s.video,
+            shot: s.shot,
+        };
+        db.try_insert_shot(shot, s.features.clone(), s.event, s.scene_node)
+            .expect("generated shots are valid");
+    }
+    db.build();
+    db
 }
 
 #[test]
 fn killed_workers_hand_over_without_losing_or_duplicating_records() {
     forall(
-        "chaos: seeded worker kills, TTL handover, exactly-once records",
+        "chaos: seeded worker kills, TTL handover, exactly-once compaction effects",
         |rng| NoShrink(gen_chaos(rng)),
         |NoShrink(case)| {
-            let dir = scratch(case.tag);
             let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
+            let mut start = 0;
+            for &size in &case.batches {
+                service
+                    .ingest(&case.shots[start..start + size])
+                    .map_err(|e| format!("ingest: {e}"))?;
+                start += size;
+            }
+            require!(service.drift() > 0, "the batches left no drift to fold");
+
+            let dir = scratch(case.tag);
             let config = QueueConfig {
                 lease_ttl_ms: LEASE_TTL_MS,
                 ..QueueConfig::default()
             };
             let (queue, _) = JobQueue::open(&dir, config).map_err(|e| format!("open: {e}"))?;
             let queue = Mutex::new(queue);
-            let shots: Vec<_> = (0..case.n).map(|i| stored(i, &service.snapshot().db)).collect();
             let id = queue
                 .lock()
-                .submit(JobKind::Ingest { shots }, 0)
+                .submit(JobKind::Compaction, 0)
                 .map_err(|e| format!("submit: {e}"))?;
 
-            let recorder = Recorder::disabled();
-            let compactions = AtomicU64::new(0);
-            let now = AtomicU64::new(1);
-            let clock = || now.load(Ordering::Relaxed);
-
-            let mut takeovers = 0u64;
-            let mut survivors_turn = false;
-            for (k, &kill_at) in case.kills.iter().enumerate() {
-                let name = format!("doomed-{k}");
-                let ctx = JobWorkerCtx {
-                    service: &service,
-                    queue: &queue,
-                    worker: &name,
-                    clock: &clock,
-                    ingest_chunk: case.chunk,
-                    kill_after_steps: Some(kill_at),
-                    recorder: &recorder,
-                    compactions: &compactions,
-                };
+            for (k, &compacts) in case.doomed.iter().enumerate() {
+                // Each claim comes one TTL after the last: the clock
+                // jumping past the dead worker's lease lets it succeed.
+                let at = k as u64 * (LEASE_TTL_MS + 1);
+                let lease = queue
+                    .lock()
+                    .claim(&format!("doomed-{k}"), at)
+                    .map_err(|e| format!("claim: {e}"))?;
                 require!(
-                    jobs::run_one(&ctx) == Some(id),
+                    lease.map(|l| l.id) == Some(id),
                     "doomed worker {k} failed to claim the job"
                 );
-                let state = queue.lock().status(id).map(|v| v.state).unwrap_or_default();
-                if state == "completed" {
-                    // The kill step landed past the job's end, so this
-                    // worker finished before its bullet arrived.
-                    survivors_turn = true;
-                    break;
+                if compacts {
+                    service.compact().map_err(|e| format!("compact: {e}"))?;
                 }
-                require!(
-                    state == "leased",
-                    "after kill {k}: job is {state}, expected an abandoned lease"
-                );
-                // The dead worker's lease drains out; the clock jumping
-                // past the TTL is what lets the next claim succeed.
-                now.fetch_add(LEASE_TTL_MS + 1, Ordering::Relaxed);
-                takeovers += 1;
             }
 
-            if !survivors_turn {
-                let ctx = JobWorkerCtx {
-                    service: &service,
-                    queue: &queue,
-                    worker: "survivor",
-                    clock: &clock,
-                    ingest_chunk: case.chunk,
-                    kill_after_steps: None,
-                    recorder: &recorder,
-                    compactions: &compactions,
-                };
-                require!(
-                    jobs::run_one(&ctx) == Some(id),
-                    "survivor failed to claim the expired lease"
-                );
-            }
+            let takeovers = case.doomed.len() as u64;
+            let drift_at_handover = service.drift();
+            let recorder = Recorder::disabled();
+            let compactions = AtomicU64::new(0);
+            let now = takeovers * (LEASE_TTL_MS + 1);
+            let clock = move || now;
+            let survivor = JobWorkerCtx {
+                service: &service,
+                queue: &queue,
+                worker: "survivor",
+                clock: &clock,
+                recorder: &recorder,
+                compactions: &compactions,
+            };
+            require!(
+                jobs::run_one(&survivor) == Some(id),
+                "survivor failed to claim the expired lease"
+            );
 
             let view = queue.lock().status(id).ok_or("job vanished")?;
             require!(
@@ -175,18 +191,25 @@ fn killed_workers_hand_over_without_losing_or_duplicating_records() {
                 view.error,
                 takeovers
             );
+            require!(service.drift() == 0, "drift {} survived", service.drift());
             require!(
-                view.cursor == Some(case.n as u64),
-                "final checkpoint cursor {:?} != {}",
-                view.cursor,
-                case.n
+                compactions.load(Ordering::Relaxed) == u64::from(drift_at_handover > 0),
+                "survivor published {} compactions over a drift of {drift_at_handover}",
+                compactions.load(Ordering::Relaxed)
             );
+            let served = service.snapshot();
             require!(
-                service.snapshot().db.len() == case.n,
+                served.db.len() == case.shots.len(),
                 "index holds {} records, expected exactly {} (lost or duplicated work)",
-                service.snapshot().db.len(),
-                case.n
+                served.db.len(),
+                case.shots.len()
             );
+            let reference = fresh_build(&case.shots);
+            for (p, probe) in case.probes.iter().enumerate() {
+                let got = flat_answer(&served.db, probe);
+                let want = flat_answer(&reference, probe);
+                require!(got == want, "probe {p}: {got:?} != fresh build {want:?}");
+            }
             let stats = queue.lock().stats();
             require!(
                 stats.lease_expiries == takeovers,
@@ -209,77 +232,13 @@ fn killed_workers_hand_over_without_losing_or_duplicating_records() {
             );
             let persisted = reopened.status(id).ok_or("job lost across reopen")?;
             require!(
-                persisted.state == "completed" && persisted.cursor == Some(case.n as u64),
-                "reopened job is {} at cursor {:?}",
-                persisted.state,
-                persisted.cursor
+                persisted.state == "completed",
+                "reopened job is {}",
+                persisted.state
             );
 
             let _ = std::fs::remove_dir_all(&dir);
             Ok(())
         },
     );
-}
-
-#[test]
-fn handover_resumes_from_checkpoint_not_from_scratch() {
-    // Deterministic companion to the seeded sweep: one kill, placed so a
-    // checkpoint exists, then prove the successor's lease carried that
-    // checkpoint by counting how far the index had advanced at takeover.
-    let dir = scratch(0xD0E);
-    let service = DbService::new(VideoDatabase::medical(), Recorder::disabled());
-    let (queue, _) = JobQueue::open(
-        &dir,
-        QueueConfig {
-            lease_ttl_ms: LEASE_TTL_MS,
-            ..QueueConfig::default()
-        },
-    )
-    .unwrap();
-    let queue = Mutex::new(queue);
-    let shots: Vec<_> = (0..10).map(|i| stored(i, &service.snapshot().db)).collect();
-    let id = queue.lock().submit(JobKind::Ingest { shots }, 0).unwrap();
-
-    let recorder = Recorder::disabled();
-    let compactions = AtomicU64::new(0);
-    let now = AtomicU64::new(1);
-    let clock = || now.load(Ordering::Relaxed);
-
-    // Worker A: chunk 3, dies after 2 checkpoints → 9 shots applied, 6
-    // durable on the log.
-    let a = JobWorkerCtx {
-        service: &service,
-        queue: &queue,
-        worker: "a",
-        clock: &clock,
-        ingest_chunk: 3,
-        kill_after_steps: Some(2),
-        recorder: &recorder,
-        compactions: &compactions,
-    };
-    assert_eq!(jobs::run_one(&a), Some(id));
-    assert_eq!(service.snapshot().db.len(), 9);
-    let mid = queue.lock().status(id).unwrap();
-    assert_eq!((mid.step, mid.cursor), (Some(1), Some(6)));
-
-    now.fetch_add(LEASE_TTL_MS + 1, Ordering::Relaxed);
-    let b = JobWorkerCtx {
-        service: &service,
-        queue: &queue,
-        worker: "b",
-        clock: &clock,
-        ingest_chunk: 3,
-        kill_after_steps: None,
-        recorder: &recorder,
-        compactions: &compactions,
-    };
-    assert_eq!(jobs::run_one(&b), Some(id));
-    let done = queue.lock().status(id).unwrap();
-    assert_eq!(done.state, "completed");
-    // B resumed at cursor 6 (steps 2 and 3), not at zero: step numbering
-    // continued from A's checkpoint.
-    assert_eq!((done.step, done.cursor), (Some(3), Some(10)));
-    assert_eq!(service.snapshot().db.len(), 10, "shots 6..9 deduped, 9..10 fresh");
-    assert_eq!(queue.lock().stats().lease_expiries, 1);
-    let _ = std::fs::remove_dir_all(&dir);
 }

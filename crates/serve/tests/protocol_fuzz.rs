@@ -7,17 +7,18 @@
 //! Failures print a one-line reproduction; replay with
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
-use medvid_index::NodeId;
+use medvid_index::{NodeId, VideoDatabase};
+use medvid_obs::Recorder;
 use medvid_serve::protocol::{read_frame, recv_message, send_message, write_frame};
 use medvid_serve::{
-    Client, ClientError, QueryRequest, Request, Response, RetryPolicy, RetryingClient,
-    WireStrategy, MAX_FRAME_BYTES,
+    spawn, Client, ClientError, ErrorKind, QueryRequest, Request, Response, RetryPolicy,
+    RetryingClient, ServerConfig, WireStrategy, MAX_FRAME_BYTES,
 };
 use medvid_testkit::{
     corrupt_bytes, forall, require, valid_query, Fault, FaultyStream, NoShrink, QuerySpec,
 };
 use std::io::Cursor;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 fn to_wire(spec: &QuerySpec) -> QueryRequest {
@@ -200,6 +201,28 @@ fn faulty_transport_surfaces_as_typed_errors() {
             }
         },
     );
+}
+
+/// Servers no longer queue ingest jobs (shots go through the fenced
+/// `Request::Ingest`); an older client's ingest submission must get a
+/// typed `BadRequest`, and the server must keep serving other clients.
+#[test]
+fn retired_ingest_job_submission_is_a_typed_bad_request() {
+    let db = VideoDatabase::medical();
+    let handle = spawn(db, ServerConfig::default(), Recorder::disabled()).unwrap();
+    let timeout = Duration::from_secs(10);
+    let mut old_client = TcpStream::connect(handle.addr()).unwrap();
+    old_client.set_read_timeout(Some(timeout)).unwrap();
+    let frame = br#"{"type":"submit_job","kind":{"kind":"ingest","shots":[{"video":3,"shot":4,"features":[0.5],"event":"Dialog","scene_node":7}]}}"#;
+    write_frame(&mut old_client, frame).unwrap();
+    match recv_message::<_, Response>(&mut old_client).expect("a reply, not a hang") {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest),
+        other => panic!("expected a bad-request error, got {other:?}"),
+    }
+    let mut client = Client::connect(handle.addr(), timeout).unwrap();
+    assert!(matches!(client.job_status(None), Ok(Response::Jobs { jobs }) if jobs.is_empty()));
+    handle.shutdown();
+    handle.join();
 }
 
 /// A listener that drops its first `flaky` connections outright, then

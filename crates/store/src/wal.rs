@@ -60,8 +60,9 @@ pub trait Framed: Serialize + DeserializeOwned {
     fn seq(&self) -> u64;
 }
 
-/// One shot as stored in the log (the durable twin of the serving layer's
-/// ingest payload).
+/// One shot as stored in the log. The serving layer's wire ingest payload
+/// (`medvid_serve::IngestShot`) is this same type, so a batch is logged as
+/// it arrives.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredShot {
     /// Owning video.

@@ -7,8 +7,9 @@
 # --chaos additionally runs the randomized cluster chaos schedules under a
 # rotating seed (printed on entry so any failure is reproducible); the
 # default gate pins every seed for determinism. --jobs-chaos does the same
-# for the durable job queue: workers are killed mid-job at rotating seeded
-# steps and their successors must resume from the last checkpoint.
+# for the durable job queue: workers die holding a compaction job's lease
+# at rotating seeded points, and their successor must leave the index as
+# one clean run would.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -70,8 +71,8 @@ cargo test -q -p medvid-knn
 cargo test -q -p medvid-index --test knn_equivalence
 # One framed log (medvid_store::wal) carries both the store WAL and the jobs
 # queue: crash_consistency and medvid-jobs' jobs_crash both gate it against
-# torn and corrupt logs. The jobs suites below add incremental-ingest ≡
-# rebuild equivalence through the service and the seeded worker-kill sweep.
+# torn and corrupt logs. The suites below add ingest + compaction ≡ rebuild
+# equivalence through the service and the seeded compaction worker kills.
 cargo test -q -p medvid-store --test crash_consistency
 cargo test -q -p medvid-jobs
 cargo test -q -p medvid-serve --test incremental_vs_rebuild
@@ -103,9 +104,9 @@ if [ "$CHAOS" = 1 ]; then
 fi
 
 if [ "$JOBS_CHAOS" = 1 ]; then
-  # Rotating seed drives fresh kill steps (which worker dies after how many
-  # checkpoints) every run; the seed printed here, and in any failing
-  # property's panic line, replays the exact schedule.
+  # Rotating seed drives a fresh kill schedule (how many workers die
+  # holding the lease, and which of them compact first) every run; the seed
+  # printed here, and in any failing property's panic line, replays it.
   JOBS_SEED="${CALLER_SEED:-$(date +%s)}"
   echo "== jobs chaos mode: seeded worker kills mid-job (seed $JOBS_SEED) =="
   echo "   reproduce with: MEDVID_TESTKIT_SEED=$JOBS_SEED scripts/check.sh --jobs-chaos"
